@@ -188,24 +188,26 @@ class CovariateBasis:
     _transform: np.ndarray | None = field(default=None, repr=False)
 
     def evaluate(self, value) -> np.ndarray:
+        return self.evaluate_many([value])[0]
+
+    def evaluate_many(self, values) -> np.ndarray:
+        """Coefficient rows (len(values) x n_columns), one per covariate value."""
+        values = np.asarray(values)
         if self.spec.kind == "intercept":
-            return np.ones(1)
+            return np.ones((len(values), 1))
         if self.spec.kind == "categorical":
-            value = str(value)
-            if value not in self.spec.levels:
+            values = values.astype(str)
+            unseen = set(values.tolist()) - set(self.spec.levels)
+            if unseen:
                 raise DataError(
-                    f"unseen level '{value}' for covariate '{self.spec.covariate_name}'"
+                    f"unseen level '{min(unseen)}' for covariate '{self.spec.covariate_name}'"
                 )
-            out = np.zeros(self.n_columns)
             non_ref = [l for l in self.spec.levels if l != self.spec.reference_level]
-            if value != self.spec.reference_level:
-                out[non_ref.index(value)] = 1.0
-            return out
+            return (values[:, None] == np.array(non_ref)).astype(float)
         lo, hi = self._range
-        row = _bspline_design(
-            np.array([float(value)]), lo, hi, self.spec.knot_count, self.spec.degree
-        )[0]
-        return row @ self._transform
+        design = _bspline_design(values.astype(float), lo, hi, self.spec.knot_count,
+                                 self.spec.degree)
+        return design @ self._transform
 
 
 def build_covariate_basis(spec: PartialEffectSpec, training_values) -> CovariateBasis:
@@ -240,16 +242,18 @@ def build_covariate_basis(spec: PartialEffectSpec, training_values) -> Covariate
 
 def covariate_row(covariate_bases: list[CovariateBasis], x: dict) -> np.ndarray:
     """Concatenated covariate coefficients b(x) across all effects."""
+    return covariate_matrix(covariate_bases, {k: [v] for k, v in x.items()}, 1)[0]
+
+
+def covariate_matrix(covariate_bases: list[CovariateBasis], covariates: dict, n_rows: int):
+    """The n_rows x d_x matrix B_x of rows b(x_i), from arrays of covariate values."""
     parts = []
     for cb in covariate_bases:
-        if cb.spec.kind == "intercept":
-            parts.append(cb.evaluate(None))
-            continue
         name = cb.spec.covariate_name
-        if name not in x:
+        if cb.spec.kind != "intercept" and name not in covariates:
             raise DataError(f"missing covariate '{name}'")
-        parts.append(cb.evaluate(x[name]))
-    return np.concatenate(parts)
+        parts.append(cb.evaluate_many(covariates.get(name, np.empty(n_rows))))
+    return np.hstack(parts)
 
 
 def design_row(

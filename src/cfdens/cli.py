@@ -123,6 +123,7 @@ def _cmd_simulate(config: RunConfig, out_dir: Path, seed: int, full_scale: bool)
         seed=seed,
         n_bins=config.n_bins,
         spline_count=config.basis_count,
+        degree=config.basis_degree,
     )
     (out_dir / "mc_report.csv").write_text(report.to_table(), encoding="utf-8")
 

@@ -12,16 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density_regression import FittedDensityModel, predict_density, predict_partial, sample_theta
+from .basis import covariate_matrix
+from .density_regression import FittedDensityModel, predict_densities, sample_theta
 from .errors import ConfigError, StructuralError
-from .measure_grid import GridDensity, GridSpec, density_from_clr_values, integrate, tv_distance
+from .measure_grid import GridDensity, GridSpec, integrate, tv_distance
 
 #: denominator density values below this are masked invalid in ratios
 VALIDITY_FLOOR = 1e-12
 
-#: pair-enumeration budget before falling back to Monte Carlo subsampling
-MAX_EXACT_PAIRS = 10_000_000
-MC_PAIRS = 1_000_000
+#: (x_{-j} row, x_j value) pairs that the product-measure average evaluates at once
+PAIR_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -60,17 +60,22 @@ class CovariateSample:
     def unique_rows(self, names=None) -> tuple[list[dict], np.ndarray]:
         """Distinct covariate combinations (over ``names``) with pooled weights."""
         names = self.names if names is None else tuple(names)
-        seen: dict[tuple, int] = {}
-        combos: list[dict] = []
-        wts: list[float] = []
-        for i in range(len(self)):
-            key = tuple((n, self.covariates[n][i]) for n in names)
-            if key not in seen:
-                seen[key] = len(combos)
-                combos.append(dict(key))
-                wts.append(0.0)
-            wts[seen[key]] += self.weights[i]
-        return combos, np.asarray(wts)
+        first, weights = self.pooled(names)
+        return [{n: self.covariates[n][i] for n in names} for i in first], weights
+
+    def pooled(self, names) -> tuple[np.ndarray, np.ndarray]:
+        """One row index per distinct combination over ``names``, and pooled weights.
+
+        Combinations are ordered by their integer codes; each pooled weight
+        adds its rows' weights in row order.
+        """
+        first, inverse = np.zeros(1, dtype=np.intp), np.zeros(len(self), dtype=np.intp)
+        for n in names:
+            levels, codes = np.unique(self.covariates[n], return_inverse=True)
+            # recoding each time keeps the combined code below len(self)
+            _, first, inverse = np.unique(inverse * len(levels) + codes.ravel(),
+                                          return_index=True, return_inverse=True)
+        return first, np.bincount(inverse, weights=self.weights)
 
 
 @dataclass(frozen=True)
@@ -116,24 +121,40 @@ def _ratio(numerator: GridDensity, denominator: GridDensity) -> RatioFunction:
     return RatioFunction(grid=numerator.grid, values=values, valid=valid)
 
 
+def _model_names(model: FittedDensityModel) -> list[str]:
+    return sorted(
+        cb.spec.covariate_name for cb in model.covariate_bases if cb.spec.kind != "intercept"
+    )
+
+
+def _rows(covariate_bases, sample: CovariateSample, names) -> tuple[np.ndarray, np.ndarray]:
+    """B_x over ``covariate_bases`` at the distinct rows of ``sample``, with their weights."""
+    first, weights = sample.pooled(names)
+    columns = {n: sample.covariates[n][first] for n in names}
+    return covariate_matrix(list(covariate_bases), columns, len(first)), weights
+
+
+def _counterfactual_average(model: FittedDensityModel, sample: CovariateSample):
+    """theta -> the model's densities averaged over the sample's covariates.
+
+    B_x and the pooled weights w are built once; each call costs one
+    w' softmax(B_x Theta B_T').
+    """
+    names = _model_names(model)
+    missing = set(names) - set(sample.names)
+    if missing:
+        raise StructuralError(f"sample lacks covariates {sorted(missing)}")
+    bx, weights = _rows(model.covariate_bases, sample, names)
+    return lambda theta: GridDensity(model.grid, weights @ predict_densities(model, bx, theta))
+
+
 def counterfactual_density(
     model_k: FittedDensityModel,
     sample_l: CovariateSample,
     theta: np.ndarray | None = None,
 ) -> GridDensity:
     """Average the fitted conditional density over an empirical covariate sample."""
-    model_names = {
-        cb.spec.covariate_name for cb in model_k.covariate_bases if cb.spec.kind != "intercept"
-    }
-    if not model_names <= set(sample_l.names):
-        raise StructuralError(
-            f"sample lacks covariates {sorted(model_names - set(sample_l.names))}"
-        )
-    combos, wts = sample_l.unique_rows(sorted(model_names))
-    values = np.zeros(model_k.grid.n_cells)
-    for combo, w in zip(combos, wts):
-        values += w * predict_density(model_k, combo, theta=theta).values
-    return GridDensity(model_k.grid, values)
+    return _counterfactual_average(model_k, sample_l)(theta)
 
 
 def distribution_effect(f11: GridDensity, f01: GridDensity) -> RatioFunction:
@@ -156,36 +177,42 @@ def _product_measure_average(
     sample_rest: CovariateSample,
     sample_j: CovariateSample,
     j_name: str,
-    seed: int = 0,
-    theta: np.ndarray | None = None,
-) -> GridDensity:
-    """Average predicted densities over F(x_{-j}) x F(x_j).
+):
+    """theta -> the model's densities averaged over F(x_{-j}) x F(x_j), exactly.
 
-    Full enumeration of unique-combination pairs when affordable, otherwise a
-    seeded Monte Carlo subsample of pairs.
+    Each pair (a, b) of a distinct rest row and a distinct x_j value gets its
+    row of B_x, and the average is sum_ab u_a v_b softmax(B_x Theta B_T')_ab,
+    in blocks of about ``PAIR_BLOCK`` pairs.  The softmax is per pair: with
+    boundary estimates the rest and j parts of eta cancel by hundreds of log
+    units, so a product of separately normalized parts would underflow.
     """
-    model_names = sorted(
-        cb.spec.covariate_name for cb in model.covariate_bases if cb.spec.kind != "intercept"
-    )
-    rest_names = [n for n in model_names if n != j_name]
-    rest_combos, rest_w = sample_rest.unique_rows(rest_names)
-    j_combos, j_w = sample_j.unique_rows([j_name])
-    if len(rest_combos) * len(j_combos) <= MAX_EXACT_PAIRS:
+    j_idx = _check_covariate(model, j_name)
+    bases = list(model.covariate_bases)
+    j_cols = _columns(model, [j_idx])
+    rest_cols = _columns(model, [i for i in range(len(bases)) if i != j_idx])
+    rest_names = [n for n in _model_names(model) if n != j_name]
+    bx_rest, u = _rows(bases[:j_idx] + bases[j_idx + 1:], sample_rest, rest_names)
+    bx_j, v = _rows([bases[j_idx]], sample_j, [j_name])
+    step = max(1, PAIR_BLOCK // len(v))
+
+    def average(theta):
         values = np.zeros(model.grid.n_cells)
-        for rc, rw in zip(rest_combos, rest_w):
-            for jc, jw in zip(j_combos, j_w):
-                x = {**rc, **jc}
-                values += rw * jw * predict_density(model, x, theta=theta).values
+        for start in range(0, len(u), step):
+            block = slice(start, start + step)
+            n_rest = len(u[block])
+            pairs = np.empty((n_rest * len(v), len(j_cols) + len(rest_cols)))
+            pairs[:, rest_cols] = np.repeat(bx_rest[block], len(v), axis=0)
+            pairs[:, j_cols] = np.tile(bx_j, (n_rest, 1))
+            values += np.outer(u[block], v).ravel() @ predict_densities(model, pairs, theta)
         return GridDensity(model.grid, values)
-    rng = np.random.default_rng(seed)
-    ri = rng.choice(len(rest_combos), size=MC_PAIRS, p=rest_w)
-    ji = rng.choice(len(j_combos), size=MC_PAIRS, p=j_w)
-    values = np.zeros(model.grid.n_cells)
-    pair_keys, pair_counts = np.unique(np.stack([ri, ji]), axis=1, return_counts=True)
-    for (a, b), c in zip(pair_keys.T, pair_counts):
-        x = {**rest_combos[a], **j_combos[b]}
-        values += (c / MC_PAIRS) * predict_density(model, x, theta=theta).values
-    return GridDensity(model.grid, values)
+
+    return average
+
+
+def _columns(model: FittedDensityModel, effects) -> np.ndarray:
+    """Columns of B_x (rows of Theta) that belong to the given effects."""
+    offsets = np.cumsum([0] + [cb.n_columns for cb in model.covariate_bases])
+    return np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in effects])
 
 
 def _check_covariate(model: FittedDensityModel, j_name: str) -> int:
@@ -200,7 +227,6 @@ def marginal_effect_ce_j(
     sample_0: CovariateSample,
     sample_1: CovariateSample,
     j_name: str,
-    seed: int = 0,
     theta_0: np.ndarray | None = None,
 ) -> RatioFunction:
     """Contribution of covariate j to the covariate effect.
@@ -208,12 +234,8 @@ def marginal_effect_ce_j(
     Numerator integrates the control model over control x_{-j} and treated
     x_j (product measure); denominator is the control counterfactual density.
     """
-    _check_covariate(model_0, j_name)
-    if j_name not in sample_1.names or j_name not in sample_0.names:
-        raise ConfigError(f"covariate '{j_name}' missing from a sample")
-    num = _product_measure_average(model_0, sample_0, sample_1, j_name, seed=seed, theta=theta_0)
-    den = counterfactual_density(model_0, sample_0, theta=theta_0)
-    return _ratio(num, den)
+    # ce_j reads only the control model
+    return _effect_function((model_0, model_0), (sample_1, sample_0), "ce_j", j_name)(None, theta_0)
 
 
 def marginal_effect_de_j(
@@ -222,7 +244,6 @@ def marginal_effect_de_j(
     sample_1: CovariateSample,
     sample_0: CovariateSample,
     j_name: str,
-    seed: int = 0,
     theta_1: np.ndarray | None = None,
     theta_0: np.ndarray | None = None,
 ) -> RatioFunction:
@@ -231,11 +252,8 @@ def marginal_effect_de_j(
     Numerator integrates the treated model over treated x_{-j} and control
     x_j; denominator is the control counterfactual density.
     """
-    _check_covariate(model_1, j_name)
-    _check_covariate(model_0, j_name)
-    num = _product_measure_average(model_1, sample_1, sample_0, j_name, seed=seed, theta=theta_1)
-    den = counterfactual_density(model_0, sample_0, theta=theta_0)
-    return _ratio(num, den)
+    effect = _effect_function((model_1, model_0), (sample_1, sample_0), "de_j", j_name)
+    return effect(theta_1, theta_0)
 
 
 def marginal_effect_ce_j_fast(
@@ -251,18 +269,14 @@ def marginal_effect_ce_j_fast(
     this one drops the other covariates entirely.
     """
     j_idx = _check_covariate(model_0, j_name)
-    intercept_idx = next(
-        i for i, cb in enumerate(model_0.covariate_bases) if cb.spec.kind == "intercept"
-    )
-    intercept_clr = predict_partial(model_0, intercept_idx, None).values
+    bases = model_0.covariate_bases
+    kept = [i for i, cb in enumerate(bases) if i == j_idx or cb.spec.kind == "intercept"]
+    d_T = model_0.outcome_basis.n_columns
+    theta = model_0.theta.reshape(-1, d_T)[_columns(model_0, kept)].ravel()
 
     def averaged(sample: CovariateSample) -> GridDensity:
-        combos, wts = sample.unique_rows([j_name])
-        values = np.zeros(model_0.grid.n_cells)
-        for combo, w in zip(combos, wts):
-            partial = predict_partial(model_0, j_idx, combo[j_name]).values
-            values += w * density_from_clr_values(model_0.grid, intercept_clr + partial).values
-        return GridDensity(model_0.grid, values)
+        bx, weights = _rows([bases[i] for i in kept], sample, [j_name])
+        return GridDensity(model_0.grid, weights @ predict_densities(model_0, bx, theta))
 
     return _ratio(averaged(sample_1), averaged(sample_0))
 
@@ -270,30 +284,28 @@ def marginal_effect_ce_j_fast(
 EFFECT_KINDS = ("de", "ce", "te", "ce_j", "de_j")
 
 
-def _effect_point(models, samples, kind, j_name, seed, thetas=(None, None)) -> RatioFunction:
-    model_1, model_0 = models
-    sample_1, sample_0 = samples
-    theta_1, theta_0 = thetas
-    if kind == "de":
-        f11 = counterfactual_density(model_1, sample_1, theta=theta_1)
-        f01 = counterfactual_density(model_0, sample_1, theta=theta_0)
-        return distribution_effect(f11, f01)
-    if kind == "ce":
-        f01 = counterfactual_density(model_0, sample_1, theta=theta_0)
-        f00 = counterfactual_density(model_0, sample_0, theta=theta_0)
-        return covariate_effect(f01, f00)
-    if kind == "te":
-        f11 = counterfactual_density(model_1, sample_1, theta=theta_1)
-        f00 = counterfactual_density(model_0, sample_0, theta=theta_0)
-        return total_effect(f11, f00)
-    if kind == "ce_j":
-        return marginal_effect_ce_j(model_0, sample_0, sample_1, j_name, seed=seed, theta_0=theta_0)
-    if kind == "de_j":
-        return marginal_effect_de_j(
-            model_1, model_0, sample_1, sample_0, j_name,
-            seed=seed, theta_1=theta_1, theta_0=theta_0,
-        )
-    raise ConfigError(f"unknown effect kind '{kind}'")
+def _effect_function(models, samples, kind, j_name=None):
+    """(theta_1, theta_0) -> the ratio curve of one effect.
+
+    Every (model, sample) average the effect needs is set up once, so the
+    point estimate and each band draw cost one eta = B_x Theta B_T' per
+    average.
+    """
+    if kind not in EFFECT_KINDS:
+        raise ConfigError(f"unknown effect kind '{kind}'")
+    # index into (treated, control) of the numerator's model and coefficients
+    num = 1 if kind in ("ce", "ce_j") else 0
+    if kind in ("ce_j", "de_j"):
+        if j_name is None:
+            raise ConfigError("marginal effects need a covariate name")
+        _check_covariate(models[1], j_name)
+        if any(j_name not in sample.names for sample in samples):
+            raise ConfigError(f"covariate '{j_name}' missing from a sample")
+        numerator = _product_measure_average(models[num], samples[num], samples[1 - num], j_name)
+    else:
+        numerator = _counterfactual_average(models[num], samples[0])
+    denominator = _counterfactual_average(models[1], samples[0 if kind == "de" else 1])
+    return lambda *thetas: _ratio(numerator(thetas[num]), denominator(thetas[1]))
 
 
 def effect_bands(
@@ -310,23 +322,13 @@ def effect_bands(
     Coefficients are redrawn independently per group (derived seeds), the
     counterfactual densities rebuilt, and the ratio recomputed per draw.
     """
-    if kind not in EFFECT_KINDS:
-        raise ConfigError(f"unknown effect kind '{kind}'")
-    if kind in ("ce_j", "de_j") and j_name is None:
-        raise ConfigError("marginal effects need a covariate name")
+    effect = _effect_function(models, samples, kind, j_name)
     model_1, model_0 = models
-    point = _effect_point(models, samples, kind, j_name, seed)
+    point = effect(None, None)
     draws_1 = sample_theta(model_1, alpha, B, seed=seed * 2 + 1) if B else []
     draws_0 = sample_theta(model_0, alpha, B, seed=seed * 2 + 2) if B else []
-    band_draws = []
-    for b in range(B):
-        band_draws.append(
-            _effect_point(
-                models, samples, kind, j_name, seed,
-                thetas=(draws_1[b], draws_0[b]),
-            )
-        )
-    return EffectBands(point=point, draws=tuple(band_draws))
+    band_draws = tuple(effect(theta_1, theta_0) for theta_1, theta_0 in zip(draws_1, draws_0))
+    return EffectBands(point=point, draws=band_draws)
 
 
 def scalar_density_effect(f1: GridDensity, f0: GridDensity, metric: str = "tv") -> float:

@@ -101,14 +101,11 @@ def read_curve_table(path):
         reader = csv.DictReader(fh)
         rows = list(reader)
     draws: dict[int, tuple[list, list]] = {}
-    points: list[float] = []
     for row in rows:
         d = int(row["draw_index"])
         vals, valid = draws.setdefault(d, ([], []))
         vals.append(float(row["value"]))
         valid.append(bool(int(row["valid_flag"])))
-        if d == min(draws):
-            pass
     first = min(draws)
     n = len(draws[first][0])
     points = [float(r["grid_point"]) for r in rows[:n]]

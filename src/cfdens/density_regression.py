@@ -18,13 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import (
-    CovariateBasis,
-    OutcomeBasis,
-    covariate_row,
-    design_row,
-    design_row_at,
-)
+from .basis import CovariateBasis, OutcomeBasis, covariate_matrix, design_row
 from .errors import ConfigError, ConvergenceError, DataError, DomainError, NumericError
 from .measure_grid import ClrFunction, GridDensity, GridSpec, density_from_clr_values
 
@@ -67,9 +61,6 @@ class ObservationTable:
 
     def __len__(self) -> int:
         return len(self.outcomes)
-
-    def row_covariates(self, i: int) -> dict:
-        return {k: v[i] for k, v in self.covariates.items()}
 
 
 @dataclass(frozen=True)
@@ -157,10 +148,7 @@ def class_probabilities(
     grid: GridSpec,
 ) -> np.ndarray:
     """Cell probabilities for one combination: width-weighted softmax."""
-    eta = design_block @ theta
-    eta = eta - np.max(eta)
-    unnorm = grid.widths * np.exp(eta)
-    return unnorm / np.sum(unnorm)
+    return _all_probabilities(theta, design_block[None], grid)[0]
 
 
 def _all_probabilities(theta, blocks, grid) -> np.ndarray:
@@ -206,33 +194,25 @@ def bayes_loglik(
     the fitting grid; used for diagnostics, not for fitting.
     """
     grid = outcome_basis.grid
+    points, widths = list(grid.atom_locations), list(grid.widths[grid.n_continuous:])
     if outcome_basis.interval is not None:
         a, b = outcome_basis.interval
-        fine = np.linspace(a, b, 2 * quadrature_points + 1)[1::2]
-        w_fine = np.full(quadrature_points, (b - a) / quadrature_points)
-        fine_basis = np.vstack([outcome_basis.evaluate_at(float(y)) for y in fine])
-    else:
-        fine_basis = np.empty((0, outcome_basis.n_columns))
-        w_fine = np.empty(0)
-    atom_basis = np.vstack(
-        [outcome_basis.evaluate_at(loc) for loc in grid.atom_locations]
-    ) if grid.n_atoms else np.empty((0, outcome_basis.n_columns))
-    atom_widths = grid.widths[grid.n_continuous:]
-    eval_basis = np.vstack([fine_basis, atom_basis])
-    eval_widths = np.concatenate([w_fine, atom_widths])
+        points[:0] = np.linspace(a, b, 2 * quadrature_points + 1)[1::2]
+        widths[:0] = [(b - a) / quadrature_points] * quadrature_points
 
-    total = 0.0
-    cov_bases = list(covariate_bases)
-    for i in range(len(data)):
-        x = data.row_covariates(i)
-        bx = covariate_row(cov_bases, x)
-        zy = design_row_at(cov_bases, outcome_basis, x, float(data.outcomes[i]))
-        eta_y = float(zy @ theta)
-        eta_all = np.kron(bx[None, :], eval_basis) @ theta
-        m = float(np.max(eta_all))
-        lognorm = m + np.log(np.sum(eval_widths * np.exp(eta_all - m)))
-        total += data.weights[i] * (eta_y - lognorm)
-    return total
+    def basis_at(ys):
+        return np.array([outcome_basis.evaluate_at(float(y)) for y in ys])
+
+    bx = covariate_matrix(list(covariate_bases), data.covariates, len(data))
+    coef = bx @ theta.reshape(-1, outcome_basis.n_columns)
+    eta_y = np.sum(coef * basis_at(data.outcomes), axis=1)
+    # rows in blocks, so the rows x quadrature-points array stays small
+    step, eval_basis = max(1, (1 << 20) // len(points)), basis_at(points)
+    lognorm = [
+        _log_quadrature_norm(coef[i: i + step] @ eval_basis.T, np.array(widths))
+        for i in range(0, len(data), step)
+    ]
+    return float(data.weights @ (eta_y - np.concatenate(lognorm)))
 
 
 def _information(theta, pooled, blocks):
@@ -498,18 +478,34 @@ def predict_density(
     return density_from_clr_values(model.grid, eta)
 
 
+def predict_densities(
+    model: FittedDensityModel,
+    bx: np.ndarray,
+    theta: np.ndarray | None = None,
+) -> np.ndarray:
+    """Conditional densities (I x n_cells), one per row of the I x d_x matrix B_x.
+
+    The array form of ``predict_density``: eta = B_x Theta B_T', with Theta
+    the coefficients as a d_x x d_T matrix, then a width-weighted softmax per
+    row.  A normaliser that is not finite and positive raises ``NumericError``.
+    """
+    th = model.theta if theta is None else theta
+    eta = (bx @ th.reshape(bx.shape[1], -1)) @ model.outcome_basis.matrix.T
+    unnorm = np.exp(eta - eta.max(axis=1, keepdims=True))
+    norm = unnorm @ model.grid.widths
+    if not np.all(np.isfinite(norm) & (norm > 0)):
+        raise NumericError("density normaliser is not finite and positive")
+    return unnorm / norm[:, None]
+
+
 def predict_partial(model: FittedDensityModel, j: int, x_j) -> ClrFunction:
     """clr contribution of effect ``j`` alone at covariate value ``x_j``."""
     bases = model.covariate_bases
     if not 0 <= j < len(bases):
         raise DataError(f"effect index {j} out of range")
-    d_T = model.outcome_basis.n_columns
-    offset = sum(b.n_columns for b in bases[:j]) * d_T
-    cb = bases[j]
-    bx = cb.evaluate(x_j) if cb.spec.kind != "intercept" else cb.evaluate(None)
-    block_theta = model.theta[offset: offset + cb.n_columns * d_T]
-    values = np.kron(bx[None, :], model.outcome_basis.matrix) @ block_theta
-    return ClrFunction(model.grid, values)
+    first = sum(b.n_columns for b in bases[:j])
+    coef = model.theta.reshape(-1, model.outcome_basis.n_columns)[first: first + bases[j].n_columns]
+    return ClrFunction(model.grid, model.outcome_basis.matrix @ (bases[j].evaluate(x_j) @ coef))
 
 
 def sample_theta(

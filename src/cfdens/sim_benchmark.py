@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from .basis import PartialEffectSpec, build_covariate_basis, build_outcome_basis
 from .counterfactual import CovariateSample, counterfactual_density
@@ -24,7 +23,7 @@ from .density_regression import (
     fit_smoothed,
     predict_density,
 )
-from .errors import DataError, DomainError
+from .errors import ConfigError, DataError, DomainError
 from .measure_grid import GridDensity, GridSpec, ReferenceMeasure, tv_distance
 
 TREATED_CELL_PROBS = np.full(8, 0.125)
@@ -103,11 +102,8 @@ def simulate(spec: DgpSpec, group: int, n: int, seed: int) -> ObservationTable:
     cells = rng.choice(8, size=n, p=probs)
     a, b = spec.shape_params(group)
     outcomes = rng.beta(a[cells], b[cells])
-    covs = {
-        "x1": np.array([str((c >> 2 & 1) + 1) for c in cells]),
-        "x2": np.array([str((c >> 1 & 1) + 1) for c in cells]),
-        "x3": np.array([str((c & 1) + 1) for c in cells]),
-    }
+    levels = np.array(["1", "2"])  # as in cell_covariates
+    covs = {name: levels[cells >> (2 - k) & 1] for k, name in enumerate(COVARIATE_NAMES)}
     return ObservationTable(
         outcomes=outcomes, covariates=covs, weights=np.ones(n),
         group="treated" if group == 1 else "control",
@@ -116,6 +112,8 @@ def simulate(spec: DgpSpec, group: int, n: int, seed: int) -> ObservationTable:
 
 def true_conditional(spec: DgpSpec, group: int, cell: int, grid: GridSpec) -> GridDensity:
     """Analytic cell density evaluated at bin centers, normalized on the grid."""
+    from scipy.stats import beta as beta_dist
+
     a, b = spec.shape_params(group)
     values = beta_dist.pdf(grid.centers, a[cell], b[cell])
     return GridDensity.from_unnormalized(grid, values)
@@ -123,6 +121,8 @@ def true_conditional(spec: DgpSpec, group: int, cell: int, grid: GridSpec) -> Gr
 
 def true_counterfactual(spec: DgpSpec, model_group: int, cov_group: int, grid: GridSpec) -> GridDensity:
     """Beta-mixture counterfactual density on the grid."""
+    from scipy.stats import beta as beta_dist
+
     probs = spec.probs(cov_group)
     a, b = spec.shape_params(model_group)
     values = np.zeros(grid.n_cells)
@@ -158,11 +158,9 @@ def kde_density(samples: np.ndarray, grid: GridSpec, bandwidth: float | None = N
 def kde_conditional(data: ObservationTable, grid: GridSpec) -> dict[tuple, GridDensity]:
     """Per-covariate-cell KDE; errors on empty cells."""
     names = sorted(data.covariates)
-    keys = sorted(
-        {tuple((n, data.covariates[n][i]) for n in names) for i in range(len(data))}
-    )
     out = {}
-    for key in keys:
+    for i in CovariateSample(data.covariates, data.weights).pooled(names)[0]:
+        key = tuple((n, data.covariates[n][i]) for n in names)
         mask = np.ones(len(data), dtype=bool)
         for n, v in key:
             mask &= data.covariates[n] == v
@@ -230,57 +228,58 @@ def fit_bayes_group(data: ObservationTable, grid: GridSpec,
     return fit_smoothed(bin_and_pool(data, grid), cov_bases, outcome_basis)
 
 
-def _replication_scores(spec, n, grid, estimators, truths_cf, truths_cond, seed,
-                        spline_count=12):
-    data1 = simulate(spec, 1, n, seed)
-    data0 = simulate(spec, 0, n, seed + 500_000_000)
-    sample1 = CovariateSample.from_table(data1)
-    sample0 = CovariateSample.from_table(data0)
-    samples = {1: sample1, 0: sample0}
-    scores: dict[str, dict[str, float]] = {}
-    if "bayes" in estimators:
-        models = {g: fit_bayes_group(d, grid, spline_count) for g, d in ((1, data1), (0, data0))}
-        s = {}
-        for tgt, (k, l) in _KL.items():
-            est = counterfactual_density(models[k], samples[l])
-            s[tgt] = tv_distance(est, truths_cf[tgt])
-        for grp, tgt in ((1, "cond1"), (0, "cond0")):
-            tvs = [
-                tv_distance(
-                    predict_density(models[grp], cell_covariates(c)), truths_cond[(grp, c)]
-                )
-                for c in range(8)
-            ]
-            s[tgt] = float(np.mean(tvs))
-        scores["bayes"] = s
-    if "kde" in estimators:
-        datas = {1: data1, 0: data0}
-        kdes = {g: kde_conditional(datas[g], grid) for g in (1, 0)}
-        names = COVARIATE_NAMES
-        cell_w = {}
-        for g in (1, 0):
-            combos, wts = samples[g].unique_rows(sorted(names))
-            cell_w[g] = {
-                tuple(sorted(c.items())): w for c, w in zip(combos, wts)
-            }
-        s = {}
-        for tgt, (k, l) in _KL.items():
-            values = np.zeros(grid.n_cells)
-            for c in range(8):
-                key = tuple(sorted(cell_covariates(c).items()))
-                if key not in kdes[k]:
-                    raise DataError(f"empty covariate cell {key} for KDE group {k}")
-                values += cell_w[l].get(key, 0.0) * kdes[k][key].values
-            s[tgt] = tv_distance(GridDensity.from_unnormalized(grid, values), truths_cf[tgt])
-        for grp, tgt in ((1, "cond1"), (0, "cond0")):
-            tvs = []
-            for c in range(8):
-                key = tuple(sorted(cell_covariates(c).items()))
-                if key not in kdes[grp]:
-                    raise DataError(f"empty covariate cell {key} for KDE group {grp}")
-                tvs.append(tv_distance(kdes[grp][key], truths_cond[(grp, c)]))
-            s[tgt] = float(np.mean(tvs))
-        scores["kde"] = s
+def _bayes_estimates(datas, samples, grid, spline_count, degree):
+    """Counterfactual and per-cell conditional densities of the fitted models."""
+    models = {g: fit_bayes_group(datas[g], grid, spline_count, degree) for g in (1, 0)}
+    cf = {tgt: counterfactual_density(models[k], samples[l]) for tgt, (k, l) in _KL.items()}
+    cond = {
+        (g, c): predict_density(models[g], cell_covariates(c)) for g in (1, 0) for c in range(8)
+    }
+    return cf, cond
+
+
+def _kde_estimates(datas, samples, grid):
+    """Counterfactual and per-cell conditional densities of the per-cell KDE."""
+    keys = [tuple(sorted(cell_covariates(c).items())) for c in range(8)]
+    cond, cell_w = {}, {}
+    for g in (1, 0):
+        kdes = kde_conditional(datas[g], grid)
+        for c, key in enumerate(keys):
+            if key not in kdes:
+                raise DataError(f"empty covariate cell {key} for KDE group {g}")
+            cond[(g, c)] = kdes[key]
+        combos, wts = samples[g].unique_rows(sorted(COVARIATE_NAMES))
+        cell_w[g] = {tuple(sorted(c.items())): w for c, w in zip(combos, wts)}
+    cf = {}
+    for tgt, (k, l) in _KL.items():
+        values = np.zeros(grid.n_cells)
+        for c, key in enumerate(keys):
+            values += cell_w[l].get(key, 0.0) * cond[(k, c)].values
+        cf[tgt] = GridDensity.from_unnormalized(grid, values)
+    return cf, cond
+
+
+def _replication_scores(spec, n, seed, grid, estimators, truths_cf, truths_cond,
+                        spline_count, degree):
+    """TV scores of every estimator on one simulated replication (None if it failed)."""
+    datas = {1: simulate(spec, 1, n, seed), 0: simulate(spec, 0, n, seed + 500_000_000)}
+    samples = {g: CovariateSample.from_table(d) for g, d in datas.items()}
+    scores = {}
+    for est in estimators:
+        try:
+            if est == "bayes":
+                cf, cond = _bayes_estimates(datas, samples, grid, spline_count, degree)
+            elif est == "kde":
+                cf, cond = _kde_estimates(datas, samples, grid)
+            else:
+                raise ConfigError(f"unknown estimator '{est}'")
+        except (DataError, RuntimeError):
+            scores[est] = None
+            continue
+        scores[est] = {tgt: tv_distance(cf[tgt], truths_cf[tgt]) for tgt in COUNTERFACTUAL_TARGETS}
+        for g, tgt in ((1, "cond1"), (0, "cond0")):
+            tvs = [tv_distance(cond[(g, c)], truths_cond[(g, c)]) for c in range(8)]
+            scores[est][tgt] = float(np.mean(tvs))
     return scores
 
 
@@ -292,11 +291,14 @@ def run_study(
     seed: int = 0,
     n_bins: int = 50,
     spline_count: int = 12,
+    degree: int = 3,
 ) -> McReport:
     """Monte Carlo study over sample sizes; per-replication seeds are seed + index.
 
-    Replications where an estimator fails (e.g. an empty covariate cell for
-    the KDE) are excluded for that estimator and counted in the report.
+    Each replication simulates both groups once and scores every estimator on
+    that data.  Replications where an estimator fails (e.g. an empty covariate
+    cell for the KDE) are excluded for that estimator and counted in the
+    report.  ``spline_count`` and ``degree`` set the Bayes outcome basis.
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
@@ -312,17 +314,14 @@ def run_study(
         acc = {est: {t: [] for t in targets} for est in estimators}
         excluded = {est: 0 for est in estimators}
         for r in range(replications):
-            rep_seed = seed + r
-            for est in estimators:
-                try:
-                    scores = _replication_scores(
-                        spec, n, grid, (est,), truths_cf, truths_cond, rep_seed, spline_count
-                    )
-                except (DataError, RuntimeError):
+            scores = _replication_scores(spec, n, seed + r, grid, estimators, truths_cf,
+                                         truths_cond, spline_count, degree)
+            for est, est_scores in scores.items():
+                if est_scores is None:
                     excluded[est] += 1
                     continue
                 for t in targets:
-                    acc[est][t].append(scores[est][t])
+                    acc[est][t].append(est_scores[t])
         for est in estimators:
             for t in targets:
                 vals = np.asarray(acc[est][t])

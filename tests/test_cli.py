@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -230,3 +233,11 @@ def test_cli_missing_config_fails_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("cfdens: error:")
     assert "\n" == err[err.index("\n"):]  # single diagnostic line
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, cfdens.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from cfdens import sim_benchmark
 from cfdens.density_regression import ObservationTable
 from cfdens.errors import DataError, DomainError
 from cfdens.measure_grid import GridDensity, integrate, tv_distance
@@ -235,3 +236,29 @@ def test_report_table_round_trips_floats():
     line = [l for l in text.splitlines() if l.startswith("kde,300,f11")][0]
     mean_tv = float(line.split(",")[3])
     assert mean_tv == report.lookup("kde", 300, "f11")["mean_tv"]
+
+
+def test_run_study_fits_with_the_given_basis_degree(monkeypatch):
+    degrees = []
+
+    def recording_fit(*args, **kwargs):
+        model = fit_bayes_group(*args, **kwargs)
+        degrees.append(model.outcome_basis.degree)
+        return model
+
+    monkeypatch.setattr(sim_benchmark, "fit_bayes_group", recording_fit)
+    run_study(DgpSpec(), n_values=[300], replications=2, estimators=("bayes",), seed=3,
+              degree=2)
+    assert degrees == [2, 2, 2, 2]  # two groups per replication
+
+
+def test_run_study_simulates_each_replication_once(monkeypatch):
+    calls = []
+
+    def counting_simulate(*args, **kwargs):
+        calls.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(sim_benchmark, "simulate", counting_simulate)
+    run_study(DgpSpec(), n_values=[300], replications=2, estimators=("bayes", "kde"), seed=3)
+    assert len(calls) == 4  # both groups of both replications, shared by the estimators
