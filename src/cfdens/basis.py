@@ -196,12 +196,7 @@ class CovariateBasis:
         if self.spec.kind == "intercept":
             return np.ones((len(values), 1))
         if self.spec.kind == "categorical":
-            values = values.astype(str)
-            unseen = set(values.tolist()) - set(self.spec.levels)
-            if unseen:
-                raise DataError(
-                    f"unseen level '{min(unseen)}' for covariate '{self.spec.covariate_name}'"
-                )
+            values = _check_levels(self.spec, values)
             non_ref = [l for l in self.spec.levels if l != self.spec.reference_level]
             return (values[:, None] == np.array(non_ref)).astype(float)
         lo, hi = self._range
@@ -210,22 +205,27 @@ class CovariateBasis:
         return design @ self._transform
 
 
+def _check_levels(spec: PartialEffectSpec, values: np.ndarray) -> np.ndarray:
+    """A categorical effect's values as strings; a value outside its levels raises."""
+    values = np.asarray(values).astype(str)
+    distinct = np.unique(values)
+    unseen = distinct[~np.isin(distinct, spec.levels)]
+    if len(unseen):
+        raise DataError(f"unseen level '{unseen[0]}' for covariate '{spec.covariate_name}'")
+    return values
+
+
 def build_covariate_basis(spec: PartialEffectSpec, training_values) -> CovariateBasis:
     """Construct the covariate basis for one effect from its training sample."""
     if spec.kind == "intercept":
         return CovariateBasis(spec=spec, n_columns=1)
-    training_values = list(training_values)
-    if not training_values:
+    training_values = np.asarray(training_values)
+    if not len(training_values):
         raise DataError(f"no training values for covariate '{spec.covariate_name}'")
     if spec.kind == "categorical":
-        unseen = {str(v) for v in training_values} - set(spec.levels)
-        if unseen:
-            raise DataError(
-                f"values {sorted(unseen)} of '{spec.covariate_name}' "
-                f"not among declared levels"
-            )
+        _check_levels(spec, training_values)
         return CovariateBasis(spec=spec, n_columns=len(spec.levels) - 1)
-    vals = np.asarray(training_values, dtype=float)
+    vals = training_values.astype(float)
     lo, hi = float(vals.min()), float(vals.max())
     design = _bspline_design(vals, lo, hi, spec.knot_count, spec.degree)
     means = design.mean(axis=0)
@@ -264,18 +264,8 @@ def design_row(
     """Tensor-product design block for one covariate vector.
 
     Row g is b(x) kron b_T(cell g); shape (n_cells, R) with
-    R = sum_j d_j * d_T.
+    R = sum_j d_j * d_T.  The per-row reference of ``predict_density``.
     """
     bx = covariate_row(covariate_bases, x)
     return np.kron(bx[None, :], outcome_basis.matrix)
 
-
-def design_row_at(
-    covariate_bases: list[CovariateBasis],
-    outcome_basis: OutcomeBasis,
-    x: dict,
-    y: float,
-) -> np.ndarray:
-    """Single design row evaluated at an exact outcome value (off-grid)."""
-    bx = covariate_row(covariate_bases, x)
-    return np.kron(bx, outcome_basis.evaluate_at(y))

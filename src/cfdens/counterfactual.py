@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import covariate_matrix
-from .density_regression import FittedDensityModel, predict_densities, sample_theta
+from .density_regression import FittedDensityModel, distinct_rows, predict_densities, sample_theta
 from .errors import ConfigError, StructuralError
 from .measure_grid import GridDensity, GridSpec, integrate, tv_distance
 
@@ -69,12 +69,7 @@ class CovariateSample:
         Combinations are ordered by their integer codes; each pooled weight
         adds its rows' weights in row order.
         """
-        first, inverse = np.zeros(1, dtype=np.intp), np.zeros(len(self), dtype=np.intp)
-        for n in names:
-            levels, codes = np.unique(self.covariates[n], return_inverse=True)
-            # recoding each time keeps the combined code below len(self)
-            _, first, inverse = np.unique(inverse * len(levels) + codes.ravel(),
-                                          return_index=True, return_inverse=True)
+        first, inverse = distinct_rows(self.covariates, names, len(self))
         return first, np.bincount(inverse, weights=self.weights)
 
 

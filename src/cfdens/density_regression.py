@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import chdtri
 
 from .basis import CovariateBasis, OutcomeBasis, covariate_matrix, design_row
 from .errors import ConfigError, ConvergenceError, DataError, DomainError, NumericError
@@ -78,29 +79,38 @@ class PooledHistogram:
         return len(self.combinations)
 
 
+def distinct_rows(covariates: dict, names, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct combination over ``names``, and each row's combination.
+
+    Combinations come in the sorted order of their values, first name most
+    significant, whatever the order of the rows.
+    """
+    first, inverse = np.zeros(1, dtype=np.intp), np.zeros(n_rows, dtype=np.intp)
+    for n in names:
+        levels, codes = np.unique(covariates[n], return_inverse=True)
+        # recoding each time keeps the combined code below n_rows
+        _, first, inverse = np.unique(inverse * len(levels) + codes.ravel(),
+                                      return_index=True, return_inverse=True)
+    return first, inverse
+
+
 def bin_and_pool(data: ObservationTable, grid: GridSpec) -> PooledHistogram:
-    """Bin outcomes on the grid and pool rows sharing a covariate combination."""
+    """Bin outcomes on the grid and pool rows sharing a covariate combination.
+
+    Combinations come in ``distinct_rows`` order over the sorted covariate
+    names, so the histogram does not depend on the order of the rows.
+    """
+    cells = grid.cell_indices(data.outcomes)
+    if np.any(cells < 0):
+        i = int(np.argmax(cells < 0))
+        raise DataError(f"row {i}: {grid.domain_error(float(data.outcomes[i]))}")
     names = sorted(data.covariates)
-    key_to_idx: dict[tuple, int] = {}
-    combos: list[dict] = []
-    rows: list[np.ndarray] = []
-    for i in range(len(data)):
-        key = tuple((n, data.covariates[n][i]) for n in names)
-        if key not in key_to_idx:
-            key_to_idx[key] = len(combos)
-            combos.append(dict(key))
-            rows.append(np.zeros(grid.n_cells))
-        try:
-            g = grid.cell_index(float(data.outcomes[i]))
-        except DomainError as exc:
-            raise DataError(f"row {i}: {exc}") from exc
-        rows[key_to_idx[key]][g] += data.weights[i]
-    # canonical combination order so the fit is invariant to row permutations
-    order = sorted(range(len(combos)), key=lambda i: str(sorted(combos[i].items())))
-    counts = np.vstack([rows[i] for i in order])
+    first, inverse = distinct_rows(data.covariates, names, len(data))
+    counts = np.bincount(inverse * grid.n_cells + cells, weights=data.weights,
+                         minlength=len(first) * grid.n_cells).reshape(len(first), grid.n_cells)
     return PooledHistogram(
         grid=grid,
-        combinations=tuple(combos[i] for i in order),
+        combinations=tuple({n: data.covariates[n][i] for n in names} for i in first),
         counts=counts,
         totals=counts.sum(axis=1),
         n_rows=len(data),
@@ -135,11 +145,24 @@ class FittedDensityModel:
         return len(self.theta)
 
 
-def _design_blocks(pooled, covariate_bases, outcome_basis) -> np.ndarray:
-    """Stack of (n_cells, R) design blocks, one per covariate combination."""
-    return np.stack(
-        [design_row(list(covariate_bases), outcome_basis, c) for c in pooled.combinations]
-    )
+def _pooled_matrix(pooled: PooledHistogram, covariate_bases) -> np.ndarray:
+    """B_x of the fit: one row b(x) per covariate combination of ``pooled``."""
+    columns = {n: np.array([c[n] for c in pooled.combinations]) for n in pooled.combinations[0]}
+    return covariate_matrix(list(covariate_bases), columns, pooled.n_combinations)
+
+
+def _eta(bx: np.ndarray, theta: np.ndarray, bt: np.ndarray) -> np.ndarray:
+    """eta = B_x Theta B_T' (rows x cells), with Theta the coefficients as d_x x d_T."""
+    return (bx @ theta.reshape(bx.shape[1], -1)) @ bt.T
+
+
+def _softmax(eta: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Densities from each row of ``eta`` by a width-weighted softmax; checks the normaliser."""
+    unnorm = np.exp(eta - eta.max(axis=1, keepdims=True))
+    norm = unnorm @ widths
+    if not np.all(np.isfinite(norm) & (norm > 0)):
+        raise NumericError("density normaliser is not finite and positive")
+    return unnorm / norm[:, None]
 
 
 def class_probabilities(
@@ -148,14 +171,7 @@ def class_probabilities(
     grid: GridSpec,
 ) -> np.ndarray:
     """Cell probabilities for one combination: width-weighted softmax."""
-    return _all_probabilities(theta, design_block[None], grid)[0]
-
-
-def _all_probabilities(theta, blocks, grid) -> np.ndarray:
-    eta = blocks @ theta  # (I, n_cells)
-    eta = eta - eta.max(axis=1, keepdims=True)
-    unnorm = grid.widths[None, :] * np.exp(eta)
-    return unnorm / unnorm.sum(axis=1, keepdims=True)
+    return _softmax((design_block @ theta)[None], grid.widths)[0] * grid.widths
 
 
 def multinomial_loglik(
@@ -163,12 +179,10 @@ def multinomial_loglik(
     pooled: PooledHistogram,
     covariate_bases,
     outcome_basis: OutcomeBasis,
-    blocks: np.ndarray | None = None,
 ) -> float:
     """Grid-based (multinomial) log-likelihood, dropping the bin-width constants."""
-    if blocks is None:
-        blocks = _design_blocks(pooled, covariate_bases, outcome_basis)
-    return _loglik(blocks @ theta, pooled)
+    bx = _pooled_matrix(pooled, covariate_bases)
+    return _loglik(_eta(bx, theta, outcome_basis.matrix), pooled)
 
 
 def _loglik(eta: np.ndarray, pooled: PooledHistogram) -> float:
@@ -215,19 +229,30 @@ def bayes_loglik(
     return float(data.weights @ (eta_y - np.concatenate(lognorm)))
 
 
-def _information(theta, pooled, blocks):
-    """Profiled Fisher information at ``theta``, with the cell probabilities."""
-    probs = _all_probabilities(theta, blocks, pooled.grid)
-    weighted = pooled.totals[:, None] * probs
-    zp = np.einsum("igr,ig->ir", blocks, probs)
-    info = (
-        np.tensordot(blocks, blocks * weighted[:, :, None], axes=([0, 1], [0, 1]))
-        - (pooled.totals[:, None] * zp).T @ zp
-    )
-    return 0.5 * (info + info.T), probs
+def _score_information(theta, pooled, bx, bt):
+    """Score and profiled Fisher information of the log-likelihood at ``theta``.
+
+    For design rows z_ig = b_i kron B_T[g], totals t and cell probabilities P,
+    the score is vec(B_x' (N - t P) B_T) and the information
+    sum_i t_i [sum_g p_ig z_ig z_ig' - zbar_i zbar_i'], zbar_i = b_i kron B_T' p_i,
+    whose first sum is (B_x . B_x)' [(t P) (B_T . B_T)] for the row-wise
+    Kronecker product . (Currie, Durban & Eilers 2006): no (I, n_cells, R) array.
+    """
+    probs = _softmax(_eta(bx, theta, bt), pooled.grid.widths) * pooled.grid.widths
+    expected = pooled.totals[:, None] * probs
+    score = (bx.T @ (pooled.counts - expected) @ bt).ravel()
+    (n, d_x), d_t = bx.shape, bt.shape[1]
+    rows_x = (bx[:, :, None] * bx[:, None, :]).reshape(n, d_x * d_x)
+    rows_t = (bt[:, :, None] * bt[:, None, :]).reshape(len(bt), d_t * d_t)
+    # entry [(a, b), (k, l)] is the information entry [(a, k), (b, l)]
+    outer = rows_x.T @ (expected @ rows_t)
+    outer = outer.reshape(d_x, d_x, d_t, d_t).transpose(0, 2, 1, 3).reshape(d_x * d_t, -1)
+    zbar = (bx[:, :, None] * (probs @ bt)[:, None, :]).reshape(n, d_x * d_t)
+    info = outer - (pooled.totals[:, None] * zbar).T @ zbar
+    return score, 0.5 * (info + info.T)
 
 
-def _newton(theta0, penalty_matrix, pooled, blocks, max_iter,
+def _newton(theta0, penalty_matrix, pooled, bx, bt, max_iter,
             divergence_cap=1e5, raise_on_divergence=True):
     """Newton scoring on the penalized multinomial deviance.
 
@@ -237,17 +262,15 @@ def _newton(theta0, penalty_matrix, pooled, blocks, max_iter,
     """
 
     def penalized_deviance(th):
-        return -2.0 * _loglik(blocks @ th, pooled) + float(th @ penalty_matrix @ th)
+        return -2.0 * _loglik(_eta(bx, th, bt), pooled) + float(th @ penalty_matrix @ th)
 
     theta = np.asarray(theta0, dtype=float).copy()
     dev = penalized_deviance(theta)
     trace = [dev]
     for _ in range(max_iter):
-        info, probs = _information(theta, pooled, blocks)
-        resid = pooled.counts - pooled.totals[:, None] * probs
-        score = np.einsum("igr,ig->r", blocks, resid) - penalty_matrix @ theta
+        score, info = _score_information(theta, pooled, bx, bt)
         try:
-            step = np.linalg.solve(info + penalty_matrix, score)
+            step = np.linalg.solve(info + penalty_matrix, score - penalty_matrix @ theta)
         except np.linalg.LinAlgError as exc:
             raise NumericError(f"singular information matrix: {exc}") from exc
         scale = 1.0
@@ -273,11 +296,11 @@ def _newton(theta0, penalty_matrix, pooled, blocks, max_iter,
     return theta, trace, False
 
 
-def _fitted_model(theta, pooled, blocks, covariate_bases, outcome_basis,
+def _fitted_model(theta, pooled, bx, covariate_bases, outcome_basis,
                   penalty_matrix, trace, smoothing_parameter=0.0) -> FittedDensityModel:
     """Package an estimate with its nuisance intercepts and penalized Hessian."""
-    grid = pooled.grid
-    lognorm = _log_quadrature_norm(blocks @ theta, grid.widths)
+    grid, bt = pooled.grid, outcome_basis.matrix
+    lognorm = _log_quadrature_norm(_eta(bx, theta, bt), grid.widths)
     with np.errstate(divide="ignore"):
         alphas = np.where(pooled.totals > 0, np.log(pooled.totals), -np.inf) - lognorm
     return FittedDensityModel(
@@ -286,7 +309,7 @@ def _fitted_model(theta, pooled, blocks, covariate_bases, outcome_basis,
         outcome_basis=outcome_basis,
         covariate_bases=tuple(covariate_bases),
         grid=grid,
-        fisher_information=_information(theta, pooled, blocks)[0] + penalty_matrix,
+        fisher_information=_score_information(theta, pooled, bx, bt)[1] + penalty_matrix,
         deviance_trace=tuple(trace),
         iterations=len(trace) - 1,
         smoothing_parameter=smoothing_parameter,
@@ -320,12 +343,12 @@ def fit(
         raise DomainError("penalty must be nonnegative")
     if not np.any(pooled.counts > 0):
         raise DataError("no positive counts to fit")
-    blocks = _design_blocks(pooled, covariate_bases, outcome_basis)
-    eye = np.eye(blocks.shape[2])
+    bx, bt = _pooled_matrix(pooled, covariate_bases), outcome_basis.matrix
+    eye = np.eye(bx.shape[1] * bt.shape[1])
 
     lam = penalty + STABILIZING_RIDGE
     theta, trace, converged = _newton(
-        np.zeros(len(eye)), 2.0 * lam * eye, pooled, blocks, MAX_ITER
+        np.zeros(len(eye)), 2.0 * lam * eye, pooled, bx, bt, MAX_ITER
     )
     if not converged:
         raise ConvergenceError(
@@ -333,7 +356,7 @@ def fit(
         )
     try:
         p_theta, p_trace, p_converged = _newton(
-            theta, 2.0 * penalty * eye, pooled, blocks, 30,
+            theta, 2.0 * penalty * eye, pooled, bx, bt, 30,
             divergence_cap=POLISH_THETA_CAP, raise_on_divergence=False,
         )
     except NumericError:
@@ -344,7 +367,7 @@ def fit(
         trace = trace + p_trace[1:]
         lam = penalty
     return _fitted_model(
-        theta, pooled, blocks, covariate_bases, outcome_basis, 2.0 * lam * eye, trace
+        theta, pooled, bx, covariate_bases, outcome_basis, 2.0 * lam * eye, trace
     )
 
 
@@ -407,7 +430,7 @@ def fit_smoothed(
         raise DataError("no positive counts to fit")
     scale = pooled.n_rows / pooled.totals.sum()
     pooled = replace(pooled, counts=pooled.counts * scale, totals=pooled.totals * scale)
-    blocks = _design_blocks(pooled, covariate_bases, outcome_basis)
+    bx, bt = _pooled_matrix(pooled, covariate_bases), outcome_basis.matrix
     S = difference_penalty(covariate_bases, outcome_basis)
     eigvals, eigvecs = np.linalg.eigh(S)
     penalized = eigvals > 1e-10 * eigvals.max()
@@ -419,7 +442,7 @@ def fit_smoothed(
     # weight of a single observation
     lam, theta, trace = 1.0, np.zeros(len(S)), []
     for _ in range(MAX_SELECTION_ITER):
-        theta, steps, converged = _newton(theta, lam * S, pooled, blocks, MAX_ITER)
+        theta, steps, converged = _newton(theta, lam * S, pooled, bx, bt, MAX_ITER)
         if not converged:
             raise ConvergenceError(
                 f"no Newton convergence at smoothing parameter {lam:.6g}", trace=trace + steps
@@ -428,7 +451,7 @@ def fit_smoothed(
         # rank S - lambda tr(H^-1 S) = tr((C + lambda diag(s))^-1 C), with C the
         # information of the penalized coordinates given the unpenalized ones;
         # unlike the difference, this form stays accurate when lambda is large
-        info = _information(theta, pooled, blocks)[0]
+        info = _score_information(theta, pooled, bx, bt)[1]
         i_pn = u_pen.T @ info @ u_null
         try:
             cond = u_pen.T @ info @ u_pen - i_pn @ np.linalg.solve(
@@ -440,7 +463,7 @@ def fit_smoothed(
         quad = float(np.sum(s_pen * (u_pen.T @ theta) ** 2))
         if abs(lam * quad - edf) <= SELECTION_TOL:
             return _fitted_model(
-                theta, pooled, blocks, covariate_bases, outcome_basis, lam * S, trace,
+                theta, pooled, bx, covariate_bases, outcome_basis, lam * S, trace,
                 smoothing_parameter=lam,
             )
         if not (edf > 0 and quad > 0):
@@ -490,12 +513,7 @@ def predict_densities(
     row.  A normaliser that is not finite and positive raises ``NumericError``.
     """
     th = model.theta if theta is None else theta
-    eta = (bx @ th.reshape(bx.shape[1], -1)) @ model.outcome_basis.matrix.T
-    unnorm = np.exp(eta - eta.max(axis=1, keepdims=True))
-    norm = unnorm @ model.grid.widths
-    if not np.all(np.isfinite(norm) & (norm > 0)):
-        raise NumericError("density normaliser is not finite and positive")
-    return unnorm / norm[:, None]
+    return _softmax(_eta(bx, th, model.outcome_basis.matrix), model.grid.widths)
 
 
 def predict_partial(model: FittedDensityModel, j: int, x_j) -> ClrFunction:
@@ -520,8 +538,6 @@ def sample_theta(
     {theta : (theta - theta_hat)' I (theta - theta_hat) <= chi2_{R,1-alpha}}.
     Deterministic given the seed.
     """
-    from scipy.stats import chi2
-
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
     if B == 0:
@@ -536,7 +552,7 @@ def sample_theta(
     # z ~ N(0, I_R); theta = theta_hat + L^{-T} z has the target covariance and
     # Mahalanobis norm ||z||^2, so the ellipsoid test reduces to a chi2 bound.
     L = np.linalg.cholesky(info)
-    bound = chi2.ppf(1.0 - alpha, df=R)
+    bound = wald_ellipsoid_radius(model, alpha)
     if 1.0 - alpha < 1e-6:
         # degenerate region: the ellipsoid shrinks to the point estimate
         return [model.theta.copy() for _ in range(B)]
@@ -550,6 +566,5 @@ def sample_theta(
 
 
 def wald_ellipsoid_radius(model: FittedDensityModel, alpha: float) -> float:
-    from scipy.stats import chi2
-
-    return float(chi2.ppf(1.0 - alpha, df=model.n_coefficients))
+    """The chi2 quantile with R degrees of freedom and upper tail ``alpha``."""
+    return float(chdtri(model.n_coefficients, alpha))

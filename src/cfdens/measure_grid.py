@@ -121,17 +121,28 @@ class GridSpec:
 
         Bins are left-closed ``[a_{g-1}, a_g)`` with the last bin closed.
         """
+        cell = int(self.cell_indices(np.array([y]))[0])
+        if cell < 0:
+            raise self.domain_error(y)
+        return cell
+
+    def cell_indices(self, ys: np.ndarray) -> np.ndarray:
+        """Array form of ``cell_index``, with -1 for outcomes in no cell."""
+        ys = np.asarray(ys, dtype=float)
+        cells = np.full(len(ys), -1, dtype=np.intp)
+        if self.n_continuous:
+            inside = (self.edges[0] <= ys) & (ys <= self.edges[-1])
+            bins = np.searchsorted(self.edges, ys[inside], side="right") - 1
+            cells[inside] = np.minimum(bins, self.n_continuous - 1)  # last bin closed
         for d, loc in enumerate(self.atom_locations):
-            if y == loc:
-                return self.n_continuous + d
+            cells[ys == loc] = self.n_continuous + d
+        return cells
+
+    def domain_error(self, y: float) -> DomainError:
+        """The error for an outcome ``y`` that lies in no cell."""
         if self.n_continuous == 0:
-            raise DomainError(f"outcome {y} matches no atom and there is no interval")
-        a, b = self.edges[0], self.edges[-1]
-        if not (a <= y <= b):
-            raise DomainError(f"outcome {y} outside the interval [{a}, {b}]")
-        if y == b:
-            return self.n_continuous - 1
-        return int(np.searchsorted(self.edges, y, side="right")) - 1
+            return DomainError(f"outcome {y} matches no atom and there is no interval")
+        return DomainError(f"outcome {y} outside the interval [{self.edges[0]}, {self.edges[-1]}]")
 
     def same_as(self, other: "GridSpec") -> bool:
         """Bitwise equality on edges, centers, widths, and atoms."""

@@ -14,14 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import PartialEffectSpec, build_covariate_basis, build_outcome_basis
+from .basis import PartialEffectSpec, build_covariate_basis, build_outcome_basis, covariate_matrix
 from .counterfactual import CovariateSample, counterfactual_density
 from .density_regression import (
     FittedDensityModel,
     ObservationTable,
     bin_and_pool,
     fit_smoothed,
-    predict_density,
+    predict_densities,
 )
 from .errors import ConfigError, DataError, DomainError
 from .measure_grid import GridDensity, GridSpec, ReferenceMeasure, tv_distance
@@ -232,9 +232,12 @@ def _bayes_estimates(datas, samples, grid, spline_count, degree):
     """Counterfactual and per-cell conditional densities of the fitted models."""
     models = {g: fit_bayes_group(datas[g], grid, spline_count, degree) for g in (1, 0)}
     cf = {tgt: counterfactual_density(models[k], samples[l]) for tgt, (k, l) in _KL.items()}
-    cond = {
-        (g, c): predict_density(models[g], cell_covariates(c)) for g in (1, 0) for c in range(8)
-    }
+    cells = {n: np.array([cell_covariates(c)[n] for c in range(8)]) for n in COVARIATE_NAMES}
+    cond = {}
+    for g in (1, 0):
+        bx = covariate_matrix(list(models[g].covariate_bases), cells, 8)
+        for c, values in enumerate(predict_densities(models[g], bx)):
+            cond[(g, c)] = GridDensity(grid, values)
     return cf, cond
 
 

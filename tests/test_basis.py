@@ -9,7 +9,6 @@ from cfdens.basis import (
     build_outcome_basis,
     covariate_row,
     design_row,
-    design_row_at,
 )
 from cfdens.errors import ConfigError, DataError
 from cfdens.measure_grid import GridSpec, ReferenceMeasure, integrate
@@ -176,15 +175,6 @@ def test_covariate_row_concatenates_in_effect_order():
     bases = _toy_bases()
     assert np.array_equal(covariate_row(bases, {"t": "b"}), [1.0, 1.0])
     assert np.array_equal(covariate_row(bases, {"t": "a"}), [1.0, 0.0])
-
-
-def test_design_row_at_matches_grid_block():
-    grid = unit_grid(50)
-    basis = build_outcome_basis(UNIT_MEASURE, grid, spline_count=12, degree=3)
-    bases = _toy_bases()
-    block = design_row(bases, basis, {"t": "b"})
-    row = design_row_at(bases, basis, {"t": "b"}, float(grid.centers[33]))
-    assert np.allclose(row, block[33], atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

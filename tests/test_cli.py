@@ -237,7 +237,19 @@ def test_cli_missing_config_fails_cleanly(tmp_path, capsys):
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = "import sys, cfdens.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, numpy as np, cfdens.cli\n"
+        "print('scipy.stats' in sys.modules)\n"
+        "from cfdens import (GridSpec, ObservationTable, PartialEffectSpec, ReferenceMeasure,\n"
+        "    build_covariate_basis, build_outcome_basis, fit_table, sample_theta)\n"
+        "measure = ReferenceMeasure(continuous_interval=(0.0, 1.0))\n"
+        "grid = GridSpec.from_measure(measure, 10)\n"
+        "basis = build_outcome_basis(measure, grid, spline_count=5, degree=2)\n"
+        "intercept = [build_covariate_basis(PartialEffectSpec.intercept(), [None])]\n"
+        "data = ObservationTable(np.linspace(0.05, 0.95, 40), {}, None)\n"
+        "sample_theta(fit_table(data, intercept, basis), 0.05, 3, 0)\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]

@@ -94,6 +94,64 @@ def test_bin_and_pool_atom_outcomes(mixed_measure, mixed_grid):
     assert pooled.counts[0, 31] == 1.0
 
 
+def _pool_by_rows(data, grid):
+    """Per-row reference: rows pooled in a dictionary, each in its cell by a scan.
+
+    The cell is the atom on an exact match, else the left-closed bin, with the
+    top edge in the last bin.
+    """
+    pooled = {}
+    for i in range(len(data)):
+        key = tuple(sorted((n, v[i]) for n, v in data.covariates.items()))
+        counts = pooled.setdefault(key, np.zeros(grid.n_cells))
+        y = data.outcomes[i]
+        if y in grid.atom_locations:
+            cell = grid.n_continuous + grid.atom_locations.index(y)
+        else:
+            cell = next(g for g in range(grid.n_continuous)
+                        if y < grid.edges[g + 1] or g == grid.n_continuous - 1)
+        counts[cell] += data.weights[i]
+    return pooled
+
+
+def test_bin_and_pool_matches_per_row_loop(mixed_measure, mixed_grid):
+    rng = np.random.default_rng(8)
+    n = 500
+    lo, hi = mixed_measure.continuous_interval
+    outcomes = rng.uniform(lo, hi, n)
+    kind = rng.random(n)
+    outcomes[kind < 0.15] = 0.0
+    outcomes[kind > 0.9] = 10000.0
+    outcomes[::41] = hi  # the top edge lies in the closed last bin
+    interior = rng.integers(1, mixed_grid.n_continuous, len(outcomes[7::41]))
+    outcomes[7::41] = mixed_grid.edges[interior]  # an interior edge opens its bin
+    covariates = {"edu": rng.choice(["low", "mid", "high"], n),
+                  "age": rng.integers(20, 30, n).astype(float)}
+    weights = rng.uniform(0.5, 2.0, n)
+
+    def table(rows):
+        return ObservationTable(outcomes[rows], {k: v[rows] for k, v in covariates.items()},
+                                weights[rows])
+
+    reference = _pool_by_rows(table(np.arange(n)), mixed_grid)
+    pooled = bin_and_pool(table(np.arange(n)), mixed_grid)
+    permuted = bin_and_pool(table(rng.permutation(n)), mixed_grid)
+    assert pooled.n_rows == permuted.n_rows == n
+    assert len(pooled.combinations) == len(reference)
+    assert [sorted(c.items()) for c in pooled.combinations] == [
+        sorted(c.items()) for c in permuted.combinations
+    ]
+    for combo, counts, total, permuted_counts in zip(
+        pooled.combinations, pooled.counts, pooled.totals, permuted.counts
+    ):
+        expected = reference[tuple(sorted(combo.items()))]
+        # the same rows are added in the same order
+        assert np.array_equal(counts, expected)
+        assert total == pytest.approx(expected.sum(), rel=1e-12)
+        np.testing.assert_allclose(permuted_counts, expected, rtol=1e-12)
+    assert pooled.counts[:, mixed_grid.n_continuous - 1].sum() > 0
+
+
 # ---------------------------------------------------- class probabilities
 
 def test_class_probabilities_zero_theta_proportional_to_widths():
