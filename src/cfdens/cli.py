@@ -51,7 +51,7 @@ def _fit_groups(config: RunConfig):
             )
             for s in config.effects
         ]
-        models[label] = fit_table(table, cov_bases, outcome_basis, penalty=config.penalty)
+        models[label] = fit_table(table, cov_bases, outcome_basis)
     samples = {
         "treated": CovariateSample.from_table(treated),
         "control": CovariateSample.from_table(control),

@@ -11,7 +11,6 @@ Example::
     basis.degree = 3
     effect.edu = categorical(levels=low|mid|high, reference=low)
     effect.age = smooth(count=9, degree=3)
-    penalty = 0
     uncertainty.alpha = 0.05
     uncertainty.draws = 100
     uncertainty.seed = 42
@@ -41,7 +40,6 @@ class RunConfig:
     basis_count: int = 12
     basis_degree: int = 3
     effects: list[PartialEffectSpec] = field(default_factory=list)
-    penalty: float = 0.0
     alpha: float = 0.05
     draws: int = 100
     seed: int = 0
@@ -132,6 +130,10 @@ def parse_config(text: str) -> RunConfig:
     def getf(key, default):
         return float(kv[key]) if key in kv else default
 
+    # the fit takes no user penalty; "penalty = 0" is accepted as a no-op
+    if getf("penalty", 0.0) != 0:
+        raise ConfigError(f"penalty = {kv['penalty']}: the fit has no penalty option")
+
     return RunConfig(
         measure=measure,
         cap=getf("measure.cap", None) if "measure.cap" in kv else None,
@@ -140,7 +142,6 @@ def parse_config(text: str) -> RunConfig:
         basis_count=geti("basis.count", 12),
         basis_degree=geti("basis.degree", 3),
         effects=effects,
-        penalty=getf("penalty", 0.0),
         alpha=getf("uncertainty.alpha", 0.05),
         draws=geti("uncertainty.draws", 100),
         seed=geti("uncertainty.seed", 0),

@@ -6,8 +6,9 @@ log bin-width offset is maximized with the nuisance intercepts profiled out,
 which reduces to Newton scoring on the multinomial log-likelihood.  Weighted
 (non-integer) counts are handled as a quasi-likelihood.
 
-Two estimators share one penalized Newton loop: ``fit`` maximizes the
-likelihood with an optional ridge, and ``fit_smoothed`` adds a second-order
+Two estimators share one penalized Newton loop, ``_newton``, which alone
+decides that a run failed: ``fit`` is a ridge-stabilized maximum likelihood
+with an unpenalized polish, and ``fit_smoothed`` puts a second-order
 difference (P-spline) penalty along the outcome direction whose strength is
 selected from the data by the generalized Fellner--Schall update.
 """
@@ -130,7 +131,6 @@ class FittedDensityModel:
     """
 
     theta: np.ndarray
-    nuisance_intercepts: np.ndarray
     outcome_basis: OutcomeBasis
     covariate_bases: tuple[CovariateBasis, ...]
     grid: GridSpec
@@ -252,13 +252,13 @@ def _score_information(theta, pooled, bx, bt):
     return score, 0.5 * (info + info.T)
 
 
-def _newton(theta0, penalty_matrix, pooled, bx, bt, max_iter,
-            divergence_cap=1e5, raise_on_divergence=True):
+def _newton(theta0, penalty_matrix, pooled, bx, bt, max_iter, theta_cap=1e5):
     """Newton scoring on the penalized multinomial deviance.
 
     The objective is ``-2 loglik + theta' P theta`` for the penalty matrix P.
-    Returns (theta, trace, converged); step halving keeps the deviance
-    nonincreasing.
+    Returns (theta, trace); step halving keeps the deviance nonincreasing.
+    Raises ``NumericError`` once max|theta| passes ``theta_cap`` and
+    ``ConvergenceError`` when ``max_iter`` steps do not converge.
     """
 
     def penalized_deviance(th):
@@ -285,31 +285,22 @@ def _newton(theta0, penalty_matrix, pooled, bx, bt, max_iter,
         rel_change = abs(dev - cand_dev) / (abs(dev) + 0.1)
         theta, dev = cand, cand_dev
         trace.append(dev)
-        if np.max(np.abs(theta)) > divergence_cap:
-            if raise_on_divergence:
-                raise NumericError(
-                    "coefficients diverging (likely separation); refit with penalty > 0"
-                )
-            return theta, trace, False
+        if np.max(np.abs(theta)) > theta_cap:
+            raise NumericError(f"coefficients diverging past {theta_cap:g} (likely separation)")
         if rel_change < DEVIANCE_RTOL:
-            return theta, trace, True
-    return theta, trace, False
+            return theta, trace
+    raise ConvergenceError(f"no convergence after {max_iter} iterations", trace=trace)
 
 
-def _fitted_model(theta, pooled, bx, covariate_bases, outcome_basis,
-                  penalty_matrix, trace, smoothing_parameter=0.0) -> FittedDensityModel:
-    """Package an estimate with its nuisance intercepts and penalized Hessian."""
-    grid, bt = pooled.grid, outcome_basis.matrix
-    lognorm = _log_quadrature_norm(_eta(bx, theta, bt), grid.widths)
-    with np.errstate(divide="ignore"):
-        alphas = np.where(pooled.totals > 0, np.log(pooled.totals), -np.inf) - lognorm
+def _fitted_model(theta, pooled, covariate_bases, outcome_basis, hessian, trace,
+                  smoothing_parameter=0.0) -> FittedDensityModel:
+    """Package an estimate with the Hessian of its penalized objective."""
     return FittedDensityModel(
         theta=theta,
-        nuisance_intercepts=alphas,
         outcome_basis=outcome_basis,
         covariate_bases=tuple(covariate_bases),
-        grid=grid,
-        fisher_information=_score_information(theta, pooled, bx, bt)[1] + penalty_matrix,
+        grid=pooled.grid,
+        fisher_information=hessian,
         deviance_trace=tuple(trace),
         iterations=len(trace) - 1,
         smoothing_parameter=smoothing_parameter,
@@ -325,50 +316,33 @@ def fit(
     pooled: PooledHistogram,
     covariate_bases,
     outcome_basis: OutcomeBasis,
-    penalty: float = 0.0,
 ) -> FittedDensityModel:
     """Maximize the profiled Poisson (= multinomial) likelihood by Newton scoring.
 
-    Optional ridge penalty ``penalty * ||theta||^2`` on the model coefficients;
-    the per-combination nuisance intercepts are never penalized.
-
-    The fit runs in two stages: Newton scoring with a small stabilizing ridge
-    added to the requested penalty, then a polish stage at the requested
-    penalty alone.  The polish is kept only when it converges cleanly with
-    bounded coefficients, so identified instances get the exact maximizer
-    while boundary-divergent ones (a covariate subgroup with an empty span of
-    outcome cells) retain the stabilized estimate.
+    A ridge-stabilized maximum likelihood with an unpenalized polish: Newton
+    scoring with the small ``STABILIZING_RIDGE``, then at most 30 steps with
+    no penalty.  The polish is kept when it converges without max|theta|
+    passing ``POLISH_THETA_CAP``, so identified instances get the exact
+    maximizer, while boundary-divergent ones (a covariate subgroup with an
+    empty span of outcome cells) keep the stabilized estimate.  The stored
+    Hessian is that of the kept stage: it carries the ridge iff the polish failed.
     """
-    if penalty < 0:
-        raise DomainError("penalty must be nonnegative")
     if not np.any(pooled.counts > 0):
         raise DataError("no positive counts to fit")
     bx, bt = _pooled_matrix(pooled, covariate_bases), outcome_basis.matrix
     eye = np.eye(bx.shape[1] * bt.shape[1])
 
-    lam = penalty + STABILIZING_RIDGE
-    theta, trace, converged = _newton(
-        np.zeros(len(eye)), 2.0 * lam * eye, pooled, bx, bt, MAX_ITER
-    )
-    if not converged:
-        raise ConvergenceError(
-            f"no convergence after {MAX_ITER} iterations", trace=trace
-        )
+    ridge = 2.0 * STABILIZING_RIDGE * eye
+    theta, trace = _newton(np.zeros(len(eye)), ridge, pooled, bx, bt, MAX_ITER)
     try:
-        p_theta, p_trace, p_converged = _newton(
-            theta, 2.0 * penalty * eye, pooled, bx, bt, 30,
-            divergence_cap=POLISH_THETA_CAP, raise_on_divergence=False,
-        )
-    except NumericError:
-        # singular unpenalized information: keep the stabilized estimate
-        p_converged = False
-    if p_converged and np.max(np.abs(p_theta)) <= POLISH_THETA_CAP:
-        theta = p_theta
-        trace = trace + p_trace[1:]
-        lam = penalty
-    return _fitted_model(
-        theta, pooled, bx, covariate_bases, outcome_basis, 2.0 * lam * eye, trace
-    )
+        polished, polish = _newton(theta, 0.0 * eye, pooled, bx, bt, 30,
+                                   theta_cap=POLISH_THETA_CAP)
+    except (NumericError, ConvergenceError):
+        pass  # keep the stabilized estimate
+    else:
+        theta, trace, ridge = polished, trace + polish[1:], 0.0
+    hessian = _score_information(theta, pooled, bx, bt)[1] + ridge
+    return _fitted_model(theta, pooled, covariate_bases, outcome_basis, hessian, trace)
 
 
 def difference_penalty(covariate_bases, outcome_basis: OutcomeBasis) -> np.ndarray:
@@ -419,7 +393,8 @@ def fit_smoothed(
     lambda has settled (``SELECTION_TOL``; this includes lambda growing
     without bound when the data lie in the null space of S).  A selection that
     does not settle within ``MAX_SELECTION_ITER`` updates raises
-    ``ConvergenceError``.  There is no ridge, polish or coefficient cap.
+    ``ConvergenceError``.  There is no ridge or polish, and no coefficient cap
+    beyond the divergence check of ``_newton``.
 
     Weights are first rescaled to sum to the number of pooled rows.  The
     Poisson likelihood treats weights as counts, so without this the selected
@@ -442,11 +417,7 @@ def fit_smoothed(
     # weight of a single observation
     lam, theta, trace = 1.0, np.zeros(len(S)), []
     for _ in range(MAX_SELECTION_ITER):
-        theta, steps, converged = _newton(theta, lam * S, pooled, bx, bt, MAX_ITER)
-        if not converged:
-            raise ConvergenceError(
-                f"no Newton convergence at smoothing parameter {lam:.6g}", trace=trace + steps
-            )
+        theta, steps = _newton(theta, lam * S, pooled, bx, bt, MAX_ITER)
         trace += steps[1:] if trace else steps
         # rank S - lambda tr(H^-1 S) = tr((C + lambda diag(s))^-1 C), with C the
         # information of the penalized coordinates given the unpenalized ones;
@@ -463,7 +434,7 @@ def fit_smoothed(
         quad = float(np.sum(s_pen * (u_pen.T @ theta) ** 2))
         if abs(lam * quad - edf) <= SELECTION_TOL:
             return _fitted_model(
-                theta, pooled, bx, covariate_bases, outcome_basis, lam * S, trace,
+                theta, pooled, covariate_bases, outcome_basis, info + lam * S, trace,
                 smoothing_parameter=lam,
             )
         if not (edf > 0 and quad > 0):
@@ -483,11 +454,9 @@ def fit_table(
     data: ObservationTable,
     covariate_bases,
     outcome_basis: OutcomeBasis,
-    penalty: float = 0.0,
 ) -> FittedDensityModel:
     """Convenience: bin, pool, and fit in one call."""
-    pooled = bin_and_pool(data, outcome_basis.grid)
-    return fit(pooled, covariate_bases, outcome_basis, penalty=penalty)
+    return fit(bin_and_pool(data, outcome_basis.grid), covariate_bases, outcome_basis)
 
 
 def predict_density(
@@ -543,15 +512,12 @@ def sample_theta(
     if B == 0:
         return []
     R = model.n_coefficients
-    info = model.fisher_information + 1e-10 * np.eye(R)
-    eigvals = np.linalg.eigvalsh(info)
-    if eigvals[0] <= 0:
-        raise NumericError(
-            f"Fisher information not positive definite (min eigenvalue {eigvals[0]})"
-        )
+    try:
+        L = np.linalg.cholesky(model.fisher_information + 1e-10 * np.eye(R))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("Fisher information not positive definite") from exc
     # z ~ N(0, I_R); theta = theta_hat + L^{-T} z has the target covariance and
     # Mahalanobis norm ||z||^2, so the ellipsoid test reduces to a chi2 bound.
-    L = np.linalg.cholesky(info)
     bound = wald_ellipsoid_radius(model, alpha)
     if 1.0 - alpha < 1e-6:
         # degenerate region: the ellipsoid shrinks to the point estimate

@@ -233,18 +233,17 @@ def clr(f: GridDensity) -> ClrFunction:
 
 
 def clr_inverse(g: ClrFunction) -> GridDensity:
-    """Exponentiate and renormalize; max-subtraction guards overflow."""
-    values = np.asarray(g.values, dtype=float)
-    if not np.all(np.isfinite(values)):
+    """The density of finite clr values (``density_from_clr_values``)."""
+    if not np.all(np.isfinite(g.values)):
         raise DomainError("clr_inverse requires finite values")
-    return GridDensity.from_unnormalized(g.grid, np.exp(values - np.max(values)))
+    return density_from_clr_values(g.grid, g.values)
 
 
 def density_from_clr_values(grid: GridSpec, values: np.ndarray) -> GridDensity:
-    """Like ``clr_inverse`` but skips the zero-integral check on the input.
+    """Exponentiate and renormalize; max-subtraction guards overflow.
 
-    Used on raw (uncentered) log-density evaluations, where the additive
-    constant is irrelevant after renormalization.
+    The values need not be centered: on raw (uncentered) log-density
+    evaluations the additive constant drops out in the renormalization.
     """
     values = np.asarray(values, dtype=float)
     return GridDensity.from_unnormalized(grid, np.exp(values - np.max(values)))

@@ -102,7 +102,7 @@ def bundled():
             )
             for s in config.effects
         ]
-        models.append(fit_table(table, cov_bases, outcome_basis, penalty=config.penalty))
+        models.append(fit_table(table, cov_bases, outcome_basis))
     samples = (CovariateSample.from_table(treated), CovariateSample.from_table(control))
     return tuple(models), samples, grid
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cfdens.cli import main
-from cfdens.config import parse_config
+from cfdens.config import load_config, parse_config
 from cfdens.dataio import (
     format_curve_table,
     load_dataset,
@@ -85,6 +85,19 @@ def test_parse_config_rejects_bad_lines():
         parse_config("measure.interval = 0, 1\neffect.x = mystery(a=1)")
     with pytest.raises(ConfigError):
         parse_config("measure.interval = 0, 1\nuncertainty.alpha = 1.5")
+
+
+def test_every_shipped_config_loads():
+    paths = sorted(ROOT.glob("configs/*.cfg")) + sorted(ROOT.glob("bench/configs/*.cfg"))
+    assert len(paths) >= 5
+    for path in paths:
+        load_config(path)
+
+
+def test_parse_config_rejects_a_nonzero_penalty():
+    assert parse_config(SMALL_CONFIG).n_bins == 20  # "penalty = 0" still loads
+    with pytest.raises(ConfigError, match="penalty"):
+        parse_config(SMALL_CONFIG.replace("penalty = 0", "penalty = 2"))
 
 
 # ------------------------------------------------------------------ dataio

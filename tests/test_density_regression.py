@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from cfdens.density_regression import (
     sample_theta,
     wald_ellipsoid_radius,
 )
-from cfdens.errors import ConfigError, ConvergenceError, DataError, DomainError
+from cfdens.errors import ConfigError, ConvergenceError, DataError, DomainError, NumericError
 from cfdens.measure_grid import GridDensity, GridSpec, ReferenceMeasure, integrate, tv_distance
 from cfdens.sim_benchmark import DgpSpec, fit_bayes_group, simulate
 
@@ -235,22 +237,39 @@ def test_fit_matches_direct_multinomial_maximizer():
     assert np.max(np.abs(model.theta - res.x)) < 1e-6
 
 
-def test_fit_heavy_penalty_shrinks_to_uniform():
-    rng = np.random.default_rng(2)
+def _ridge_and_polish_parts(outcomes, t):
     grid = unit_grid(10)
     basis = build_outcome_basis(UNIT_MEASURE, grid, spline_count=6, degree=2)
-    table = _table(rng.beta(2, 5, 300))
-    model = fit_table(table, _intercept_basis(), basis, penalty=1e6)
-    dens = predict_density(model, {})
-    assert np.max(np.abs(dens.values - 1.0)) < 1e-3
+    bases = _binary_bases(t)
+    pooled = bin_and_pool(_table(outcomes, t=t), grid)
+    model = fit(pooled, bases, basis)
+    bx, bt = density_regression._pooled_matrix(pooled, bases), basis.matrix
+    info = density_regression._score_information(model.theta, pooled, bx, bt)[1]
+    return model, pooled, bx, bt, info
 
 
-def test_fit_rejects_negative_penalty():
-    grid = unit_grid(4)
-    basis = build_outcome_basis(UNIT_MEASURE, grid, spline_count=4, degree=1)
-    pooled = bin_and_pool(_table([0.5]), grid)
-    with pytest.raises(DomainError):
-        fit(pooled, _intercept_basis(), basis, penalty=-1.0)
+def test_fit_keeps_the_stabilized_estimate_when_the_polish_diverges():
+    # level b has no rows in the upper half of the outcome range, so the
+    # unpenalized maximum likelihood estimate lies at infinity
+    rng = np.random.default_rng(5)
+    t = np.where(rng.random(300) < 0.5, "a", "b")
+    outcomes = rng.beta(2, 2, 300)
+    outcomes = np.where(t == "b", 0.5 * outcomes, outcomes)
+    model, pooled, bx, bt, info = _ridge_and_polish_parts(outcomes, t)
+    ridge = 2.0 * density_regression.STABILIZING_RIDGE * np.eye(model.n_coefficients)
+    theta, trace = density_regression._newton(
+        np.zeros(model.n_coefficients), ridge, pooled, bx, bt, density_regression.MAX_ITER
+    )
+    assert np.array_equal(model.theta, theta)
+    assert model.deviance_trace == tuple(trace)
+    assert np.array_equal(model.fisher_information, info + ridge)
+
+
+def test_fit_hessian_carries_no_ridge_when_the_polish_is_kept():
+    rng = np.random.default_rng(21)
+    t = np.where(rng.random(300) < 0.4, "a", "b")
+    model, _, _, _, info = _ridge_and_polish_parts(rng.beta(2, 2, 300), t)
+    assert np.array_equal(model.fisher_information, info)
 
 
 def test_fit_deviance_trace_nonincreasing():
@@ -517,6 +536,13 @@ def test_sample_theta_degenerate_region_returns_point():
     draws = sample_theta(model, alpha=1.0 - 1e-9, B=5, seed=1)
     assert len(draws) == 5
     assert all(np.array_equal(d, model.theta) for d in draws)
+
+
+def test_sample_theta_rejects_non_positive_definite_information():
+    model = _small_model()
+    indefinite = replace(model, fisher_information=-np.eye(model.n_coefficients))
+    with pytest.raises(NumericError, match="not positive definite"):
+        sample_theta(indefinite, alpha=0.05, B=1, seed=1)
 
 
 def test_sample_theta_rejects_bad_alpha():
