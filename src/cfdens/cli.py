@@ -14,7 +14,7 @@ from .basis import build_covariate_basis, build_outcome_basis
 from .config import RunConfig, load_config
 from .counterfactual import CovariateSample, counterfactual_density, effect_bands
 from .dataio import density_curve, load_dataset, ratio_curves, write_curve_table
-from .density_regression import fit_table
+from .density_regression import bin_and_pool, fit_smoothed
 from .errors import ConfigError
 from .measure_grid import GridSpec
 from .sim_benchmark import DgpSpec, run_study
@@ -51,7 +51,7 @@ def _fit_groups(config: RunConfig):
             )
             for s in config.effects
         ]
-        models[label] = fit_table(table, cov_bases, outcome_basis)
+        models[label] = fit_smoothed(bin_and_pool(table, grid), cov_bases, outcome_basis)
     samples = {
         "treated": CovariateSample.from_table(treated),
         "control": CovariateSample.from_table(control),

@@ -6,11 +6,12 @@ log bin-width offset is maximized with the nuisance intercepts profiled out,
 which reduces to Newton scoring on the multinomial log-likelihood.  Weighted
 (non-integer) counts are handled as a quasi-likelihood.
 
-Two estimators share one penalized Newton loop, ``_newton``, which alone
-decides that a run failed: ``fit`` is a ridge-stabilized maximum likelihood
-with an unpenalized polish, and ``fit_smoothed`` puts a second-order
-difference (P-spline) penalty along the outcome direction whose strength is
-selected from the data by the generalized Fellner--Schall update.
+Two estimators share one Newton loop, ``_newton``, which alone decides that a
+run failed.  ``fit`` is the plain maximum likelihood estimate.  ``fit_smoothed``
+is the double-penalty P-spline fit: a second-order difference penalty along
+the outcome direction plus a penalty on its null space, both strengths
+selected inside the same loop by the generalized Fellner--Schall update.  The
+CLI and the Monte Carlo study use ``fit_smoothed``.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ from .measure_grid import ClrFunction, GridDensity, GridSpec, density_from_clr_v
 
 MAX_ITER = 100
 DEVIANCE_RTOL = 1e-8
-
-#: always-on ridge that caps boundary drift when some covariate subgroup has
-#: an empty span of outcome cells (the unpenalized MLE is then at infinity);
-#: small enough to leave identified coefficients unchanged at ~1e-8
-STABILIZING_RIDGE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -123,11 +119,11 @@ class FittedDensityModel:
     """Estimated coefficients with bases and profiled Fisher information.
 
     ``fisher_information`` is the Hessian of the penalized objective at the
-    estimate (the Fisher information plus the penalty matrix), so Wald draws
-    use the Bayesian posterior covariance of a penalized fit.
-    ``smoothing_parameter`` is the difference-penalty strength selected by
-    ``fit_smoothed`` (0 for ``fit``); ``iterations`` and ``deviance_trace``
-    cover every Newton step, across all smoothing-parameter updates.
+    estimate (the Fisher information plus the selected penalties), so Wald
+    draws use the Bayesian posterior covariance of a penalized fit.
+    ``smoothing_parameter`` and ``null_space_parameter`` are the strengths of
+    the difference penalty and of its null-space penalty (both 0 for ``fit``);
+    ``iterations`` and ``deviance_trace`` cover every Newton step.
     """
 
     theta: np.ndarray
@@ -139,6 +135,7 @@ class FittedDensityModel:
     converged: bool = True
     iterations: int = 0
     smoothing_parameter: float = 0.0
+    null_space_parameter: float = 0.0
 
     @property
     def n_coefficients(self) -> int:
@@ -252,27 +249,72 @@ def _score_information(theta, pooled, bx, bt):
     return score, 0.5 * (info + info.T)
 
 
-def _newton(theta0, penalty_matrix, pooled, bx, bt, max_iter, theta_cap=1e5):
-    """Newton scoring on the penalized multinomial deviance.
+#: past this max|theta| a run is drifting to an estimate at infinity
+DIVERGENCE_CAP = 1e5
+#: |lambda_j theta'S_j theta - edf_j| is twice the slope of the Laplace-approximate
+#: REML criterion in log lambda_j; it vanishes at a finite optimum and as
+#: lambda_j -> infinity
+SELECTION_TOL = 1e-5
+#: the selection converges linearly, slowly where REML is flat in lambda
+MAX_SELECTION_ITER = 1000
 
-    The objective is ``-2 loglik + theta' P theta`` for the penalty matrix P.
-    Returns (theta, trace); step halving keeps the deviance nonincreasing.
-    Raises ``NumericError`` once max|theta| passes ``theta_cap`` and
-    ``ConvergenceError`` when ``max_iter`` steps do not converge.
+
+def _solve(a, b):
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"singular information matrix: {exc}") from exc
+
+
+def _newton(theta0, pooled, bx, bt, penalties=(), max_iter=MAX_ITER):
+    """Newton scoring on the penalized multinomial deviance, selecting its penalties.
+
+    The objective is ``-2 loglik + sum_j lambda_j theta'S_j theta`` over the
+    pairs (S_j, Pi_j) of ``penalties``, Pi_j the projector onto range(S_j).
+    Each iteration computes the score and information I once, then, unless
+    the selection has settled, takes the generalized Fellner--Schall update
+    (Wood & Fasiolo 2017) from lambda_j = 1
+
+        lambda_j <- edf_j / theta'S_j theta,  edf_j = tr(Pi_j H^-1 I),  H = I + sum_j lambda_j S_j
+
+    (rank S_j - lambda_j tr(H^-1 S_j) for disjoint ranges, without its
+    cancellation at large lambda_j), and then a step-halved Newton step at the
+    updated lambdas.  It stops once every |lambda_j theta'S_j theta - edf_j| <=
+    ``SELECTION_TOL`` and the step moves the deviance by less than
+    ``DEVIANCE_RTOL``; with no penalties it is plain Newton scoring.
+
+    Returns (theta, trace, lambdas, H), with H recomputed at the returned theta.
+    Raises ``NumericError`` once max|theta| passes ``DIVERGENCE_CAP`` and
+    ``ConvergenceError`` when ``max_iter`` iterations do not converge.
     """
 
     def penalized_deviance(th):
-        return -2.0 * _loglik(_eta(bx, th, bt), pooled) + float(th @ penalty_matrix @ th)
+        return -2.0 * _loglik(_eta(bx, th, bt), pooled) + float(th @ total @ th)
 
     theta = np.asarray(theta0, dtype=float).copy()
+    lams = np.ones(len(penalties))
+    total = sum((lam * S for lam, (S, _) in zip(lams, penalties)), np.zeros((len(theta),) * 2))
     dev = penalized_deviance(theta)
     trace = [dev]
     for _ in range(max_iter):
         score, info = _score_information(theta, pooled, bx, bt)
-        try:
-            step = np.linalg.solve(info + penalty_matrix, score - penalty_matrix @ theta)
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"singular information matrix: {exc}") from exc
+        settled = True
+        if penalties:
+            quads = np.array([theta @ S @ theta for S, _ in penalties])
+            # edf_j = tr(Pi_j X) for X = H^-1 I: the entrywise sum of Pi_j * X'
+            reduced = _solve(info + total, info).T
+            edfs = np.array([np.sum(proj * reduced) for _, proj in penalties])
+            settled = bool(np.all(np.abs(lams * quads - edfs) <= SELECTION_TOL))
+            if not settled and theta.any():  # at a zero start theta'S theta is 0
+                if not (np.all(edfs > 0) and np.all(quads > 0)):
+                    raise NumericError(
+                        f"degenerate smoothing-parameter update (edf {edfs}, "
+                        f"theta'S theta {quads})"
+                    )
+                lams = edfs / quads
+                total = sum(lam * S for lam, (S, _) in zip(lams, penalties))
+                dev = penalized_deviance(theta)
+        step = _solve(info + total, score - total @ theta)
         scale = 1.0
         for _ in range(40):
             cand = theta + scale * step
@@ -285,16 +327,31 @@ def _newton(theta0, penalty_matrix, pooled, bx, bt, max_iter, theta_cap=1e5):
         rel_change = abs(dev - cand_dev) / (abs(dev) + 0.1)
         theta, dev = cand, cand_dev
         trace.append(dev)
-        if np.max(np.abs(theta)) > theta_cap:
-            raise NumericError(f"coefficients diverging past {theta_cap:g} (likely separation)")
-        if rel_change < DEVIANCE_RTOL:
-            return theta, trace
-    raise ConvergenceError(f"no convergence after {max_iter} iterations", trace=trace)
+        if np.max(np.abs(theta)) > DIVERGENCE_CAP:
+            raise NumericError(
+                f"coefficients diverging past {DIVERGENCE_CAP:g} (likely separation)"
+            )
+        if settled and rel_change < DEVIANCE_RTOL:
+            hessian = _score_information(theta, pooled, bx, bt)[1] + total
+            return theta, trace, lams, hessian
+    raise ConvergenceError(f"did not converge in {max_iter} iterations", trace=trace)
 
 
-def _fitted_model(theta, pooled, covariate_bases, outcome_basis, hessian, trace,
-                  smoothing_parameter=0.0) -> FittedDensityModel:
-    """Package an estimate with the Hessian of its penalized objective."""
+def _fit(pooled, covariate_bases, outcome_basis, penalties=(), max_iter=MAX_ITER):
+    """Run ``_newton`` from zero on weights rescaled to sum to the row count.
+
+    The likelihood treats weights as counts, so the rescaling keeps the Hessian
+    and the selected lambdas (lambda = 1 weighs one row) free of their scale.
+    """
+    if not np.any(pooled.counts > 0):
+        raise DataError("no positive counts to fit")
+    scale = pooled.n_rows / pooled.totals.sum()
+    pooled = replace(pooled, counts=pooled.counts * scale, totals=pooled.totals * scale)
+    bx, bt = _pooled_matrix(pooled, covariate_bases), outcome_basis.matrix
+    theta, trace, lams, hessian = _newton(
+        np.zeros(bx.shape[1] * bt.shape[1]), pooled, bx, bt, penalties, max_iter
+    )
+    lam, lam0 = lams if penalties else (0.0, 0.0)
     return FittedDensityModel(
         theta=theta,
         outcome_basis=outcome_basis,
@@ -303,13 +360,9 @@ def _fitted_model(theta, pooled, covariate_bases, outcome_basis, hessian, trace,
         fisher_information=hessian,
         deviance_trace=tuple(trace),
         iterations=len(trace) - 1,
-        smoothing_parameter=smoothing_parameter,
+        smoothing_parameter=float(lam),
+        null_space_parameter=float(lam0),
     )
-
-
-#: an unpenalized polish fit is only accepted when its coefficients stay
-#: this small; boundary-divergent directions blow past it
-POLISH_THETA_CAP = 50.0
 
 
 def fit(
@@ -319,30 +372,15 @@ def fit(
 ) -> FittedDensityModel:
     """Maximize the profiled Poisson (= multinomial) likelihood by Newton scoring.
 
-    A ridge-stabilized maximum likelihood with an unpenalized polish: Newton
-    scoring with the small ``STABILIZING_RIDGE``, then at most 30 steps with
-    no penalty.  The polish is kept when it converges without max|theta|
-    passing ``POLISH_THETA_CAP``, so identified instances get the exact
-    maximizer, while boundary-divergent ones (a covariate subgroup with an
-    empty span of outcome cells) keep the stabilized estimate.  The stored
-    Hessian is that of the kept stage: it carries the ridge iff the polish failed.
+    Plain Newton scoring from zero, with no penalty, so the estimate is the
+    exact maximizer and the stored Hessian is the information at it (for
+    weights rescaled to sum to the row count).  Where that maximizer lies at
+    infinity (a covariate subgroup with an empty span of outcome cells) the
+    coefficients drift: the run raises ``NumericError`` once they pass
+    ``DIVERGENCE_CAP``, or stops at a boundary estimate once the deviance
+    stalls.  ``fit_smoothed`` has an interior estimate there.
     """
-    if not np.any(pooled.counts > 0):
-        raise DataError("no positive counts to fit")
-    bx, bt = _pooled_matrix(pooled, covariate_bases), outcome_basis.matrix
-    eye = np.eye(bx.shape[1] * bt.shape[1])
-
-    ridge = 2.0 * STABILIZING_RIDGE * eye
-    theta, trace = _newton(np.zeros(len(eye)), ridge, pooled, bx, bt, MAX_ITER)
-    try:
-        polished, polish = _newton(theta, 0.0 * eye, pooled, bx, bt, 30,
-                                   theta_cap=POLISH_THETA_CAP)
-    except (NumericError, ConvergenceError):
-        pass  # keep the stabilized estimate
-    else:
-        theta, trace, ridge = polished, trace + polish[1:], 0.0
-    hessian = _score_information(theta, pooled, bx, bt)[1] + ridge
-    return _fitted_model(theta, pooled, covariate_bases, outcome_basis, hessian, trace)
+    return _fit(pooled, covariate_bases, outcome_basis)
 
 
 def difference_penalty(covariate_bases, outcome_basis: OutcomeBasis) -> np.ndarray:
@@ -364,90 +402,29 @@ def difference_penalty(covariate_bases, outcome_basis: OutcomeBasis) -> np.ndarr
     return np.kron(np.eye(d_x), diff.T @ diff)
 
 
-#: selection stops once |lambda theta'S theta - edf| is below this; the
-#: quantity is twice the slope of the Laplace-approximate REML criterion in
-#: log lambda and vanishes both at a finite optimum and as lambda -> infinity
-SELECTION_TOL = 1e-5
-#: the update converges linearly, and slowly where the criterion is nearly
-#: flat in lambda (data close to the null space of the penalty)
-MAX_SELECTION_ITER = 1000
-
-
 def fit_smoothed(
     pooled: PooledHistogram,
     covariate_bases,
     outcome_basis: OutcomeBasis,
 ) -> FittedDensityModel:
-    """P-spline fit with its smoothing parameter selected from the data.
+    """Double-penalty P-spline fit with both penalties selected from the data.
 
-    Maximizes ``loglik - lambda/2 theta' S theta`` with S from
-    ``difference_penalty`` and one smoothing parameter lambda for the whole
-    model.  Lambda is selected by the generalized Fellner--Schall update
-    (Wood & Fasiolo 2017)
-
-        lambda <- (rank S - lambda tr(H^-1 S)) / theta' S theta,
-        H = I(theta) + lambda S,
-
-    alternated with warm-started Newton fits at fixed lambda.  Each Newton fit
-    runs until the penalized deviance converges, and the selection stops once
-    lambda has settled (``SELECTION_TOL``; this includes lambda growing
-    without bound when the data lie in the null space of S).  A selection that
-    does not settle within ``MAX_SELECTION_ITER`` updates raises
-    ``ConvergenceError``.  There is no ridge or polish, and no coefficient cap
-    beyond the divergence check of ``_newton``.
-
-    Weights are first rescaled to sum to the number of pooled rows.  The
-    Poisson likelihood treats weights as counts, so without this the selected
-    lambda (and with it the estimate and its covariance) would depend on the
-    absolute scale of the weights; unit weights are unchanged.
+    Maximizes ``loglik - lambda/2 theta'S theta - lambda_0/2 theta'S_0 theta``
+    for the difference penalty S of ``difference_penalty`` and S_0 = U_0 U_0'
+    on its null space U_0, the "double penalty" of Marra & Wood (2011).  Every
+    direction is then held, so a covariate subgroup with an empty span of
+    outcome cells still gets an interior estimate.  ``_newton`` selects lambda
+    and lambda_0 in its one loop, within ``MAX_SELECTION_ITER`` iterations.
     """
-    if not np.any(pooled.counts > 0):
-        raise DataError("no positive counts to fit")
-    scale = pooled.n_rows / pooled.totals.sum()
-    pooled = replace(pooled, counts=pooled.counts * scale, totals=pooled.totals * scale)
-    bx, bt = _pooled_matrix(pooled, covariate_bases), outcome_basis.matrix
     S = difference_penalty(covariate_bases, outcome_basis)
     eigvals, eigvecs = np.linalg.eigh(S)
     penalized = eigvals > 1e-10 * eigvals.max()
     if not penalized.any():
         raise ConfigError("the outcome basis has no spline coefficients to penalize")
-    s_pen, u_pen, u_null = eigvals[penalized], eigvecs[:, penalized], eigvecs[:, ~penalized]
-
-    # weights sum to the row count, so lambda = 1 starts the penalty at the
-    # weight of a single observation
-    lam, theta, trace = 1.0, np.zeros(len(S)), []
-    for _ in range(MAX_SELECTION_ITER):
-        theta, steps = _newton(theta, lam * S, pooled, bx, bt, MAX_ITER)
-        trace += steps[1:] if trace else steps
-        # rank S - lambda tr(H^-1 S) = tr((C + lambda diag(s))^-1 C), with C the
-        # information of the penalized coordinates given the unpenalized ones;
-        # unlike the difference, this form stays accurate when lambda is large
-        info = _score_information(theta, pooled, bx, bt)[1]
-        i_pn = u_pen.T @ info @ u_null
-        try:
-            cond = u_pen.T @ info @ u_pen - i_pn @ np.linalg.solve(
-                u_null.T @ info @ u_null, i_pn.T
-            )
-            edf = float(np.trace(np.linalg.solve(cond + lam * np.diag(s_pen), cond)))
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"singular information matrix: {exc}") from exc
-        quad = float(np.sum(s_pen * (u_pen.T @ theta) ** 2))
-        if abs(lam * quad - edf) <= SELECTION_TOL:
-            return _fitted_model(
-                theta, pooled, covariate_bases, outcome_basis, info + lam * S, trace,
-                smoothing_parameter=lam,
-            )
-        if not (edf > 0 and quad > 0):
-            raise NumericError(
-                f"degenerate smoothing-parameter update (edf {edf:.3g}, "
-                f"theta'S theta {quad:.3g})"
-            )
-        lam = edf / quad
-    raise ConvergenceError(
-        f"smoothing-parameter selection did not converge in {MAX_SELECTION_ITER} updates "
-        f"(last lambda {lam:.6g})",
-        trace=trace,
-    )
+    u_pen, u_null = eigvecs[:, penalized], eigvecs[:, ~penalized]
+    null = u_null @ u_null.T
+    return _fit(pooled, covariate_bases, outcome_basis,
+                ((S, u_pen @ u_pen.T), (null, null)), MAX_SELECTION_ITER)
 
 
 def fit_table(

@@ -202,28 +202,20 @@ class McReport:
         return "\n".join(lines) + "\n"
 
 
-def _default_model_parts(grid: GridSpec, spline_count: int = 12, degree: int = 3):
-    measure = ReferenceMeasure(continuous_interval=(0.0, 1.0))
-    outcome_basis = build_outcome_basis(measure, grid, spline_count, degree)
-    specs = [PartialEffectSpec.intercept()] + [
-        PartialEffectSpec.categorical(name, ("1", "2"), "1") for name in COVARIATE_NAMES
-    ]
-    return outcome_basis, specs
-
-
 def fit_bayes_group(data: ObservationTable, grid: GridSpec,
                     spline_count: int = 12, degree: int = 3) -> FittedDensityModel:
-    """Fit the benchmark's additive model as a P-spline regression.
+    """Fit the benchmark's additive model with the estimator of the CLI.
 
-    The outcome-direction difference penalty has one smoothing parameter,
-    selected from the data by ``fit_smoothed``.
+    An intercept and a dummy per binary covariate, fitted by ``fit_smoothed``:
+    the double-penalty P-spline fit, whose difference penalty along the
+    outcome and null-space penalty are both selected from the data.
     """
-    outcome_basis, specs = _default_model_parts(grid, spline_count, degree)
-    cov_bases = [
-        build_covariate_basis(s, data.covariates.get(s.covariate_name, ["-"]))
-        if s.kind != "intercept"
-        else build_covariate_basis(s, [None])
-        for s in specs
+    measure = ReferenceMeasure(continuous_interval=(0.0, 1.0))
+    outcome_basis = build_outcome_basis(measure, grid, spline_count, degree)
+    cov_bases = [build_covariate_basis(PartialEffectSpec.intercept(), [None])] + [
+        build_covariate_basis(PartialEffectSpec.categorical(n, ("1", "2"), "1"),
+                              data.covariates[n])
+        for n in COVARIATE_NAMES
     ]
     return fit_smoothed(bin_and_pool(data, grid), cov_bases, outcome_basis)
 

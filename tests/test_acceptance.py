@@ -18,7 +18,7 @@ from cfdens.basis import (
     build_outcome_basis,
     design_row,
 )
-from cfdens.cli import main
+from cfdens.cli import _fit_groups, main
 from cfdens.config import load_config
 from cfdens.counterfactual import (
     CovariateSample,
@@ -361,3 +361,27 @@ def test_end_to_end_structural_mixed_outcome(decompose_runs):
             assert np.all(np.isnan(values[~valid]))
             assert np.all(values[valid] > 0)
     _report("end-to-end mixed-type structure", True, "densities valid, masks consistent")
+
+
+def test_cli_estimates_are_interior(decompose_runs):
+    # every direction of the double-penalty fit is held, so the bundled data's
+    # covariate subgroups with empty spans of outcome cells get interior
+    # estimates: no density at the floating-point boundary, no subnormal ratio
+    config, out1, _ = decompose_runs
+    models, _, _ = _fit_groups(config)
+    for model in models.values():
+        assert np.linalg.cond(model.fisher_information) <= 1e4
+        assert np.max(np.abs(model.theta)) <= 50
+
+    for name in ("f11", "f10", "f01", "f00"):
+        _, draws = read_curve_table(out1 / f"{name}.csv")
+        assert np.all(draws[0][0] >= 1e-8)
+    effects = {kind: read_curve_table(out1 / f"{kind}.csv")[1] for kind in ("de", "ce", "te")}
+    for draws in effects.values():
+        for values, valid in draws.values():
+            assert np.all(values[valid] >= np.finfo(float).tiny)
+    for d, (te, te_valid) in effects["te"].items():
+        (de, de_valid), (ce, ce_valid) = effects["de"][d], effects["ce"][d]
+        both = te_valid & de_valid & ce_valid
+        assert np.all(np.abs(de[both] * ce[both] - te[both]) <= 1e-12 * te[both])
+    _report("interior CLI estimates", True, "conditioned, no boundary densities")

@@ -28,6 +28,8 @@ from cfdens.counterfactual import (
 from cfdens.dataio import load_dataset
 from cfdens.density_regression import (
     ObservationTable,
+    bin_and_pool,
+    fit_smoothed,
     fit_table,
     predict_density,
     sample_theta,
@@ -102,7 +104,7 @@ def bundled():
             )
             for s in config.effects
         ]
-        models.append(fit_table(table, cov_bases, outcome_basis))
+        models.append(fit_smoothed(bin_and_pool(table, grid), cov_bases, outcome_basis))
     samples = (CovariateSample.from_table(treated), CovariateSample.from_table(control))
     return tuple(models), samples, grid
 

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfdens.cli import main
+from cfdens.cli import _fit_groups, main
 from cfdens.config import load_config, parse_config
 from cfdens.dataio import (
     format_curve_table,
@@ -239,6 +240,64 @@ def test_cli_simulate_outputs_and_determinism(config_file, tmp_path):
     text = (out1 / "mc_report.csv").read_text()
     assert "estimator,n,target,mean_tv" in text
     assert "kde,200,f11" in text
+
+
+# ------------------------------------------------ invariances of the CLI fit
+
+def _cli_thetas(tmp_path, edit_rows=None, edit_config=None):
+    """theta-hat of both CLI fits on a copy of the bundled data, edited."""
+    with open(DATA, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    if edit_rows:
+        rows = edit_rows(rows)
+    data = tmp_path / "data.csv"
+    with open(data, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    text = (ROOT / "configs" / "synthetic_mixed.cfg").read_text(encoding="utf-8")
+    text = text.replace("data.path = data/synthetic_mixed.csv", f"data.path = {data}")
+    if edit_config:
+        text = edit_config(text)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    models, _, _ = _fit_groups(load_config(cfg))
+    return np.concatenate([models["treated"].theta, models["control"].theta])
+
+
+@pytest.fixture(scope="module")
+def bundled_thetas(tmp_path_factory):
+    return _cli_thetas(tmp_path_factory.mktemp("bundled"))
+
+
+def test_cli_fit_invariant_to_weight_scale(bundled_thetas, tmp_path):
+    def rescale(rows):
+        return [{**r, "weight": repr(float(r["weight"]) * 3.7)} for r in rows]
+
+    theta = _cli_thetas(tmp_path, edit_rows=rescale)
+    assert np.max(np.abs(theta - bundled_thetas)) <= 1e-8
+
+
+def test_cli_fit_invariant_to_row_permutation(bundled_thetas, tmp_path):
+    def permute(rows):
+        return [rows[i] for i in np.random.default_rng(3).permutation(len(rows))]
+
+    theta = _cli_thetas(tmp_path, edit_rows=permute)
+    assert np.max(np.abs(theta - bundled_thetas)) <= 1e-8
+
+
+def test_cli_fit_invariant_to_relabeled_levels(bundled_thetas, tmp_path):
+    # the new labels sort in another order than the old ones
+    labels = {"low": "c", "mid": "a", "high": "b"}
+
+    def relabel(rows):
+        return [{**r, "edu": labels[r["edu"]]} for r in rows]
+
+    def remap(text):
+        return text.replace("levels=low|mid|high, reference=low", "levels=c|a|b, reference=c")
+
+    theta = _cli_thetas(tmp_path, edit_rows=relabel, edit_config=remap)
+    assert np.max(np.abs(theta - bundled_thetas)) <= 1e-8
 
 
 def test_cli_missing_config_fails_cleanly(tmp_path, capsys):

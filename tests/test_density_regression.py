@@ -204,7 +204,6 @@ def test_fit_matches_direct_multinomial_maximizer():
     rng = np.random.default_rng(17)
     grid = unit_grid(4)
     basis = build_outcome_basis(UNIT_MEASURE, grid, spline_count=4, degree=1)
-    # large n keeps the built-in stabilizing ridge's shift well below 1e-6
     n = 20_000
     t = np.where(rng.random(n) < 0.5, "a", "b")
     outcomes = np.where(t == "a", rng.beta(1.3, 1.6, n), rng.beta(1.8, 1.2, n))
@@ -237,38 +236,16 @@ def test_fit_matches_direct_multinomial_maximizer():
     assert np.max(np.abs(model.theta - res.x)) < 1e-6
 
 
-def _ridge_and_polish_parts(outcomes, t):
+def test_fit_hessian_is_the_information_at_the_estimate():
+    rng = np.random.default_rng(21)
+    t = np.where(rng.random(300) < 0.4, "a", "b")
     grid = unit_grid(10)
     basis = build_outcome_basis(UNIT_MEASURE, grid, spline_count=6, degree=2)
     bases = _binary_bases(t)
-    pooled = bin_and_pool(_table(outcomes, t=t), grid)
+    pooled = bin_and_pool(_table(rng.beta(2, 2, 300), t=t), grid)
     model = fit(pooled, bases, basis)
-    bx, bt = density_regression._pooled_matrix(pooled, bases), basis.matrix
-    info = density_regression._score_information(model.theta, pooled, bx, bt)[1]
-    return model, pooled, bx, bt, info
-
-
-def test_fit_keeps_the_stabilized_estimate_when_the_polish_diverges():
-    # level b has no rows in the upper half of the outcome range, so the
-    # unpenalized maximum likelihood estimate lies at infinity
-    rng = np.random.default_rng(5)
-    t = np.where(rng.random(300) < 0.5, "a", "b")
-    outcomes = rng.beta(2, 2, 300)
-    outcomes = np.where(t == "b", 0.5 * outcomes, outcomes)
-    model, pooled, bx, bt, info = _ridge_and_polish_parts(outcomes, t)
-    ridge = 2.0 * density_regression.STABILIZING_RIDGE * np.eye(model.n_coefficients)
-    theta, trace = density_regression._newton(
-        np.zeros(model.n_coefficients), ridge, pooled, bx, bt, density_regression.MAX_ITER
-    )
-    assert np.array_equal(model.theta, theta)
-    assert model.deviance_trace == tuple(trace)
-    assert np.array_equal(model.fisher_information, info + ridge)
-
-
-def test_fit_hessian_carries_no_ridge_when_the_polish_is_kept():
-    rng = np.random.default_rng(21)
-    t = np.where(rng.random(300) < 0.4, "a", "b")
-    model, _, _, _, info = _ridge_and_polish_parts(rng.beta(2, 2, 300), t)
+    bx = density_regression._pooled_matrix(pooled, bases)
+    info = density_regression._score_information(model.theta, pooled, bx, basis.matrix)[1]
     assert np.array_equal(model.fisher_information, info)
 
 
@@ -376,11 +353,11 @@ def test_fit_smoothed_log_linear_truth_reaches_null_space_fit():
     # f(y) ~ exp(b y) lies in the null space of the difference penalty up to
     # the bend of the free tilt over the clamped boundary knots, which is far
     # too small to detect at this n; the selection must then let lambda grow
-    # without bound and return the unpenalized fit of that tilt.  Outcomes
-    # are the n quantiles of f, a sample without sampling noise: with random
-    # draws the optimal lambda is finite whenever the noise in the penalized
-    # directions exceeds its expectation, which happens for about every
-    # other sample.
+    # without bound and return the fit of that tilt under the null-space
+    # penalty lambda_0 a^2 alone.  Outcomes are the n quantiles of f, a
+    # sample without sampling noise: with random draws the optimal lambda is
+    # finite whenever the noise in the penalized directions exceeds its
+    # expectation, which happens for about every other sample.
     b, n = 1.0, 1000
     grid = unit_grid(50)
     basis = build_outcome_basis(UNIT_MEASURE, grid, spline_count=12, degree=3)
@@ -390,8 +367,10 @@ def test_fit_smoothed_log_linear_truth_reaches_null_space_fit():
     assert model.smoothing_parameter > 1e6
 
     (tilt,) = null_space(difference_penalty(_intercept_basis(), basis)).T
+    lam0 = model.null_space_parameter
     best = minimize_scalar(
-        lambda a: -multinomial_loglik(a * tilt, pooled, _intercept_basis(), basis)
+        lambda a: -2.0 * multinomial_loglik(a * tilt, pooled, _intercept_basis(), basis)
+        + lam0 * a**2
     )
     fitted = predict_density(model, {}).values
     tilt_fit = predict_density(model, {}, theta=best.x * tilt).values
