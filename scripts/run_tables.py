@@ -1,7 +1,10 @@
 """Full-scale Monte Carlo benchmark run.
 
 Reproduces the complete simulation study (sample sizes up to 100000, 1000
-replications) and writes mc_report.csv.  Expect this to take hours; the
+replications) and writes mc_report.csv.  One replication of both estimators
+over the whole n ladder takes about 1.1 s on 2 cores of an Intel Xeon VM
+(0.04 s at n = 1000, 0.69 s at n = 100000), so the full study takes about
+18 minutes there; this is extrapolated from 10 replications per n.  The
 200-replication version used by the test suite runs via
 ``cfdens simulate --config configs/simulation.cfg``.
 """

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.linalg import null_space
 
 from .errors import ConfigError, DataError, NumericError
 from .measure_grid import GridSpec, ReferenceMeasure, integrate
@@ -66,14 +64,29 @@ class PartialEffectSpec:
 
 
 def _bspline_design(x: np.ndarray, lo: float, hi: float, count: int, degree: int) -> np.ndarray:
-    """Design matrix of ``count`` B-splines with equally spaced knots on [lo, hi]."""
+    """Design matrix of ``count`` B-splines with equally spaced knots on [lo, hi].
+
+    The Cox--de Boor recursion (de Boor 1978) over clamped knots, one degree
+    at a time for all points; x is clipped to [lo, hi].
+    """
     n_interior = count - degree - 1
     if n_interior < 0:
         raise ConfigError(f"need count > degree, got count={count}, degree={degree}")
     interior = np.linspace(lo, hi, n_interior + 2)[1:-1]
-    knots = np.concatenate([[lo] * (degree + 1), interior, [hi] * (degree + 1)])
+    t = np.concatenate([[lo] * (degree + 1), interior, [hi] * (degree + 1)])
     x = np.clip(np.asarray(x, dtype=float), lo, hi)
-    return BSpline.design_matrix(x, knots, degree).toarray()
+    # degree 0: the span holding x, with the last span closed so x = hi is covered
+    span = np.minimum(np.searchsorted(t, x, side="right") - 1, count - 1)
+    design = (np.arange(len(t) - 1) == span[:, None]).astype(float)
+    x = x[:, None]
+    for k in range(1, degree + 1):
+        # zero-width spans (repeated knots) carry zero weight
+        left, right = t[k:-1] - t[:-k - 1], t[k + 1:] - t[1:-k]
+        w_left = np.divide(x - t[:-k - 1], left, out=np.zeros((len(x), len(left))), where=left > 0)
+        w_right = np.divide(t[k + 1:] - x, right, out=np.zeros((len(x), len(right))),
+                            where=right > 0)
+        design = w_left * design[:, :-1] + w_right * design[:, 1:]
+    return design
 
 
 @dataclass(frozen=True)
@@ -97,27 +110,24 @@ class OutcomeBasis:
     def n_columns(self) -> int:
         return self.matrix.shape[1]
 
-    def _raw_at(self, y: float) -> np.ndarray:
-        """Uncentered columns (all, before dropping) at a single point."""
-        n_raw = self.spline_count * (self.interval is not None) + self.grid.n_atoms
-        row = np.zeros(n_raw)
-        for d, loc in enumerate(self.grid.atom_locations):
-            if y == loc:
-                offset = self.spline_count if self.interval is not None else 0
-                row[offset + d] = 1.0
-                return row
-        if self.interval is None:
-            raise DataError(f"outcome {y} matches no atom")
-        lo, hi = self.interval
-        row[: self.spline_count] = _bspline_design(
-            np.array([y]), lo, hi, self.spline_count, self.degree
-        )[0]
-        return row
-
     def evaluate_at(self, y: float) -> np.ndarray:
         """Centered kept columns at an arbitrary outcome value."""
-        raw = self._raw_at(y) - self.centering
-        return raw[list(self.kept)]
+        return self.evaluate_many([y])[0]
+
+    def evaluate_many(self, ys) -> np.ndarray:
+        """Centered kept columns (len(ys) x n_columns), one row per outcome value."""
+        ys = np.asarray(ys, dtype=float)
+        atoms = ys[:, None] == np.array(self.grid.atom_locations, dtype=float)
+        on_atom = atoms.any(axis=1)
+        if self.interval is None:
+            if not on_atom.all():
+                raise DataError(f"outcome {ys[~on_atom][0]} matches no atom")
+            raw = atoms.astype(float)
+        else:
+            lo, hi = self.interval
+            spl = _bspline_design(ys, lo, hi, self.spline_count, self.degree)
+            raw = np.hstack([np.where(on_atom[:, None], 0.0, spl), atoms])
+        return (raw - self.centering)[:, list(self.kept)]
 
 
 def build_outcome_basis(
@@ -229,7 +239,8 @@ def build_covariate_basis(spec: PartialEffectSpec, training_values) -> Covariate
     lo, hi = float(vals.min()), float(vals.max())
     design = _bspline_design(vals, lo, hi, spec.knot_count, spec.degree)
     means = design.mean(axis=0)
-    transform = null_space(means[None, :])  # columns of B @ transform average to zero
+    # orthonormal null space of the means: columns of B @ transform average to zero
+    transform = np.linalg.svd(means[None, :])[2][1:].T
     if transform.shape[1] != spec.knot_count - 1:
         raise NumericError("unexpected null-space dimension in smooth centering")
     return CovariateBasis(

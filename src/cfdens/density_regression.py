@@ -16,10 +16,10 @@ CLI and the Monte Carlo study use ``fit_smoothed``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import chdtri
 
 from .basis import CovariateBasis, OutcomeBasis, covariate_matrix, design_row
 from .errors import ConfigError, ConvergenceError, DataError, DomainError, NumericError
@@ -211,14 +211,11 @@ def bayes_loglik(
         points[:0] = np.linspace(a, b, 2 * quadrature_points + 1)[1::2]
         widths[:0] = [(b - a) / quadrature_points] * quadrature_points
 
-    def basis_at(ys):
-        return np.array([outcome_basis.evaluate_at(float(y)) for y in ys])
-
     bx = covariate_matrix(list(covariate_bases), data.covariates, len(data))
     coef = bx @ theta.reshape(-1, outcome_basis.n_columns)
-    eta_y = np.sum(coef * basis_at(data.outcomes), axis=1)
+    eta_y = np.sum(coef * outcome_basis.evaluate_many(data.outcomes), axis=1)
     # rows in blocks, so the rows x quadrature-points array stays small
-    step, eval_basis = max(1, (1 << 20) // len(points)), basis_at(points)
+    step, eval_basis = max(1, (1 << 20) // len(points)), outcome_basis.evaluate_many(points)
     lognorm = [
         _log_quadrature_norm(coef[i: i + step] @ eval_basis.T, np.array(widths))
         for i in range(0, len(data), step)
@@ -493,12 +490,12 @@ def sample_theta(
         L = np.linalg.cholesky(model.fisher_information + 1e-10 * np.eye(R))
     except np.linalg.LinAlgError as exc:
         raise NumericError("Fisher information not positive definite") from exc
-    # z ~ N(0, I_R); theta = theta_hat + L^{-T} z has the target covariance and
-    # Mahalanobis norm ||z||^2, so the ellipsoid test reduces to a chi2 bound.
-    bound = wald_ellipsoid_radius(model, alpha)
     if 1.0 - alpha < 1e-6:
         # degenerate region: the ellipsoid shrinks to the point estimate
         return [model.theta.copy() for _ in range(B)]
+    # z ~ N(0, I_R); theta = theta_hat + L^{-T} z has the target covariance and
+    # Mahalanobis norm ||z||^2, so the ellipsoid test reduces to a chi2 bound.
+    bound = wald_ellipsoid_radius(model, alpha)
     rng = np.random.default_rng(seed)
     draws: list[np.ndarray] = []
     while len(draws) < B:
@@ -509,5 +506,27 @@ def sample_theta(
 
 
 def wald_ellipsoid_radius(model: FittedDensityModel, alpha: float) -> float:
-    """The chi2 quantile with R degrees of freedom and upper tail ``alpha``."""
-    return float(chdtri(model.n_coefficients, alpha))
+    """The chi2 quantile with R degrees of freedom and upper tail ``alpha``.
+
+    For integer R the upper tail Q(R/2, x/2) is a finite sum of positive
+    terms (Abramowitz & Stegun 26.4.4-5), taken in log space, plus an erfc
+    head when R is odd.  It decreases in x, so the quantile is found by
+    doubling and then bisecting to the last bit.
+    """
+    if not 0 < alpha < 1:
+        raise DomainError(f"alpha must be in (0,1), got {alpha}")
+    R = model.n_coefficients
+    powers = np.arange(R // 2) + 0.5 * (R % 2)
+    log_gamma = np.array([math.lgamma(p + 1) for p in powers])
+
+    def upper_tail(x):
+        h = x / 2
+        head = math.erfc(math.sqrt(h)) if R % 2 else 0.0
+        return head + float(np.exp(powers * math.log(h) - h - log_gamma).sum())
+
+    lo, hi = 0.0, float(R)
+    while upper_tail(hi) > alpha:
+        lo, hi = hi, 2 * hi
+    while lo < (mid := (lo + hi) / 2) < hi:
+        lo, hi = (mid, hi) if upper_tail(mid) > alpha else (lo, mid)
+    return hi

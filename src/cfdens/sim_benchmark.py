@@ -10,6 +10,7 @@ over seeded replications.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,24 +111,26 @@ def simulate(spec: DgpSpec, group: int, n: int, seed: int) -> ObservationTable:
     )
 
 
+def _beta_pdf(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The Beta(a, b) density at points x in (0, 1)."""
+    log_norm = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    return np.exp(log_norm + (a - 1) * np.log(x) + (b - 1) * np.log1p(-x))
+
+
 def true_conditional(spec: DgpSpec, group: int, cell: int, grid: GridSpec) -> GridDensity:
     """Analytic cell density evaluated at bin centers, normalized on the grid."""
-    from scipy.stats import beta as beta_dist
-
     a, b = spec.shape_params(group)
-    values = beta_dist.pdf(grid.centers, a[cell], b[cell])
+    values = _beta_pdf(grid.centers, a[cell], b[cell])
     return GridDensity.from_unnormalized(grid, values)
 
 
 def true_counterfactual(spec: DgpSpec, model_group: int, cov_group: int, grid: GridSpec) -> GridDensity:
     """Beta-mixture counterfactual density on the grid."""
-    from scipy.stats import beta as beta_dist
-
     probs = spec.probs(cov_group)
     a, b = spec.shape_params(model_group)
     values = np.zeros(grid.n_cells)
     for c in range(8):
-        values += probs[c] * beta_dist.pdf(grid.centers, a[c], b[c])
+        values += probs[c] * _beta_pdf(grid.centers, a[c], b[c])
     return GridDensity.from_unnormalized(grid, values)
 
 

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import BSpline
 
 from cfdens.basis import (
     PartialEffectSpec,
+    _bspline_design,
     build_covariate_basis,
     build_outcome_basis,
     covariate_row,
@@ -68,6 +70,35 @@ def test_evaluate_at_atom(mixed_measure, mixed_grid):
     basis = build_outcome_basis(mixed_measure, mixed_grid, spline_count=12, degree=3)
     got = basis.evaluate_at(0.0)
     assert np.allclose(got, basis.matrix[30], atol=1e-12)
+
+
+def test_evaluate_many_at_cell_points_is_the_basis_matrix(mixed_measure, mixed_grid):
+    basis = build_outcome_basis(mixed_measure, mixed_grid, spline_count=12, degree=3)
+    points = np.concatenate([mixed_grid.centers[:mixed_grid.n_continuous],
+                             mixed_grid.atom_locations])
+    assert np.allclose(basis.evaluate_many(points), basis.matrix, atol=1e-12)
+
+
+def test_evaluate_many_rejects_points_off_the_atoms():
+    measure = ReferenceMeasure(atoms=((0.0, 1.0), (1.0, 1.0)))
+    basis = build_outcome_basis(measure, GridSpec.from_measure(measure, 0), spline_count=12)
+    with pytest.raises(DataError, match="0.5 matches no atom"):
+        basis.evaluate_many([1.0, 0.5])
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_bspline_design_matches_scipy(degree):
+    lo, hi = -1.3, 2.7
+    rng = np.random.default_rng(degree)
+    x = np.concatenate([[lo, hi, lo - 0.5, hi + 0.5], rng.uniform(lo, hi, 200)])
+    for count in range(max(4, degree + 1), 13):
+        interior = np.linspace(lo, hi, count - degree + 1)[1:-1]
+        knots = np.concatenate([[lo] * (degree + 1), interior, [hi] * (degree + 1)])
+        want = BSpline.design_matrix(np.clip(x, lo, hi), knots, degree).toarray()
+        got = _bspline_design(x, lo, hi, count, degree)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14
+        assert np.allclose(got.sum(axis=1), 1.0, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------- covariate bases

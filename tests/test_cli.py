@@ -309,11 +309,15 @@ def test_cli_missing_config_fails_cleanly(tmp_path, capsys):
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    submodules = ["scipy.interpolate", "scipy.linalg", "scipy.special", "scipy.stats",
+                  "scipy.sparse"]
     code = (
         "import sys, numpy as np, cfdens.cli\n"
+        f"submodules = {submodules!r}\n"
         "print('scipy.stats' in sys.modules)\n"
-        "from cfdens import (GridSpec, ObservationTable, PartialEffectSpec, ReferenceMeasure,\n"
-        "    build_covariate_basis, build_outcome_basis, fit_table, sample_theta)\n"
+        "from cfdens import (DgpSpec, GridSpec, ObservationTable, PartialEffectSpec,\n"
+        "    ReferenceMeasure, build_covariate_basis, build_outcome_basis, fit_table,\n"
+        "    sample_theta, true_counterfactual)\n"
         "measure = ReferenceMeasure(continuous_interval=(0.0, 1.0))\n"
         "grid = GridSpec.from_measure(measure, 10)\n"
         "basis = build_outcome_basis(measure, grid, spline_count=5, degree=2)\n"
@@ -321,7 +325,9 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
         "data = ObservationTable(np.linspace(0.05, 0.95, 40), {}, None)\n"
         "sample_theta(fit_table(data, intercept, basis), 0.05, 3, 0)\n"
         "print('scipy.stats' in sys.modules)\n"
+        "true_counterfactual(DgpSpec(), 1, 0, grid)\n"
+        "print([m for m in submodules if m in sys.modules])\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.splitlines() == ["False", "False", "[]"]

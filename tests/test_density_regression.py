@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 from scipy.optimize import minimize, minimize_scalar
+from scipy.special import chdtri
 
 from cfdens.basis import (
     PartialEffectSpec,
@@ -527,3 +529,27 @@ def test_sample_theta_rejects_non_positive_definite_information():
 def test_sample_theta_rejects_bad_alpha():
     with pytest.raises(DomainError):
         sample_theta(_small_model(), alpha=0.0, B=1, seed=1)
+
+
+def test_sample_theta_degenerate_region_skips_the_quantile(monkeypatch):
+    def ill_conditioned(model, alpha):
+        raise AssertionError("the quantile is not needed near alpha = 1")
+
+    model = _small_model()
+    monkeypatch.setattr(density_regression, "wald_ellipsoid_radius", ill_conditioned)
+    draws = sample_theta(model, alpha=1.0 - 1e-7, B=2, seed=1)
+    assert all(np.array_equal(d, model.theta) for d in draws)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5])
+def test_wald_ellipsoid_radius_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(DomainError):
+        wald_ellipsoid_radius(SimpleNamespace(n_coefficients=3), alpha)
+
+
+def test_wald_ellipsoid_radius_matches_chdtri():
+    for R in range(1, 401):
+        model = SimpleNamespace(n_coefficients=R)
+        for alpha in (0.01, 0.05, 0.1, 0.5):
+            want = chdtri(R, alpha)
+            assert abs(wald_ellipsoid_radius(model, alpha) - want) <= 1e-12 * want

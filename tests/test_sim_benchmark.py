@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import kstest
+from scipy.stats import beta, kstest
 
 from cfdens import sim_benchmark
 from cfdens.density_regression import ObservationTable
@@ -97,6 +97,15 @@ def test_true_conditional_matches_beta_pdf():
     spec = DgpSpec()
     got = true_conditional(spec, 1, 3, grid)  # treated cell 4: Beta(9, 9)
     assert tv_distance(got, beta_on_grid(grid, 9, 9)) < 1e-12
+
+
+def test_beta_pdf_matches_scipy():
+    x = unit_grid(50).centers
+    spec = DgpSpec()
+    for group in (1, 0):
+        for a, b in zip(*spec.shape_params(group)):
+            want = beta.pdf(x, a, b)
+            assert np.max(np.abs(sim_benchmark._beta_pdf(x, a, b) - want) / want) <= 1e-13
 
 
 def test_true_counterfactual_is_unit_mass():
