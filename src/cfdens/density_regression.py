@@ -223,27 +223,70 @@ def bayes_loglik(
     return float(data.weights @ (eta_y - np.concatenate(lognorm)))
 
 
-def _score_information(theta, pooled, bx, bt):
-    """Score and profiled Fisher information of the log-likelihood at ``theta``.
+#: rows per block of the information product: a block's temporaries stay small
+#: enough for the allocator to reuse, where whole-height ones are mapped afresh
+#: on every call (twice the time at 2000 rows)
+INFORMATION_ROW_BLOCK = 256
+
+
+def _column_pairs(d: int):
+    """Column pairs j <= k of d columns, and the (d, d) map from (j, k) to its pair."""
+    first, second = np.triu_indices(d)
+    pair = np.empty((d, d), dtype=np.intp)
+    pair[first, second] = pair[second, first] = np.arange(len(first))
+    return first, second, pair
+
+
+def _information_kernel(pooled, bx, bt):
+    """``kernel(theta, eta=None)``: score and profiled Fisher information at ``theta``.
 
     For design rows z_ig = b_i kron B_T[g], totals t and cell probabilities P,
     the score is vec(B_x' (N - t P) B_T) and the information
-    sum_i t_i [sum_g p_ig z_ig z_ig' - zbar_i zbar_i'], zbar_i = b_i kron B_T' p_i,
-    whose first sum is (B_x . B_x)' [(t P) (B_T . B_T)] for the row-wise
-    Kronecker product . (Currie, Durban & Eilers 2006): no (I, n_cells, R) array.
+    sum_i t_i [sum_g p_ig z_ig z_ig' - zbar_i zbar_i'], zbar_i = b_i kron m_i,
+    m_i = B_T' p_i.  Its entry [(a, k), (b, l)] is
+
+        sum_i b_ia b_ib [sum_g E_ig B_gk B_gl - t_i m_ik m_il],  E = t P,
+
+    symmetric in (a, b) and in (k, l).  So one product (a GEMM per block of
+    rows) of the row-wise products of B_x and of B_T over the column pairs
+    a <= b and k <= l (Currie, Durban & Eilers 2006) gives both terms of every
+    entry, with no (I, n_cells, R) array.  The pair products and the map from
+    entries to pairs depend on B_x and B_T alone and are formed here, once per
+    fit; an entry and its transpose read the same product, so the information
+    is exactly symmetric.  ``eta`` is B_x Theta B_T' at ``theta`` when the
+    caller already has it.
     """
-    probs = _softmax(_eta(bx, theta, bt), pooled.grid.widths) * pooled.grid.widths
-    expected = pooled.totals[:, None] * probs
-    score = (bx.T @ (pooled.counts - expected) @ bt).ravel()
-    (n, d_x), d_t = bx.shape, bt.shape[1]
-    rows_x = (bx[:, :, None] * bx[:, None, :]).reshape(n, d_x * d_x)
-    rows_t = (bt[:, :, None] * bt[:, None, :]).reshape(len(bt), d_t * d_t)
-    # entry [(a, b), (k, l)] is the information entry [(a, k), (b, l)]
-    outer = rows_x.T @ (expected @ rows_t)
-    outer = outer.reshape(d_x, d_x, d_t, d_t).transpose(0, 2, 1, 3).reshape(d_x * d_t, -1)
-    zbar = (bx[:, :, None] * (probs @ bt)[:, None, :]).reshape(n, d_x * d_t)
-    info = outer - (pooled.totals[:, None] * zbar).T @ zbar
-    return score, 0.5 * (info + info.T)
+    x_first, x_second, x_pair = _column_pairs(bx.shape[1])
+    t_first, t_second, t_pair = _column_pairs(bt.shape[1])
+    rows_x = bx[:, x_first] * bx[:, x_second]
+    rows_t = bt[:, t_first] * bt[:, t_second]
+    n_coef = bx.shape[1] * bt.shape[1]
+    # information entry [(a, k), (b, l)] is product entry [x_pair[a, b], t_pair[k, l]]
+    entries = (x_pair[:, None, :, None] * len(t_first) + t_pair[None, :, None, :]).reshape(
+        n_coef, n_coef)
+    widths, counts, totals = pooled.grid.widths, pooled.counts, pooled.totals[:, None]
+
+    def kernel(theta, eta=None):
+        if eta is None:
+            eta = _eta(bx, theta, bt)
+        probs = _softmax(eta, widths) * widths
+        expected = totals * probs
+        score = (bx.T @ (counts - expected) @ bt).ravel()
+        m = probs @ bt
+        tm = totals * m
+        pairs = np.zeros((len(x_first), len(t_first)))
+        for start in range(0, len(bx), INFORMATION_ROW_BLOCK):
+            rows = slice(start, start + INFORMATION_ROW_BLOCK)
+            pairs += rows_x[rows].T @ (expected[rows] @ rows_t
+                                       - tm[rows, t_first] * m[rows, t_second])
+        return score, pairs.ravel()[entries]
+
+    return kernel
+
+
+def _score_information(theta, pooled, bx, bt):
+    """Score and profiled Fisher information of the log-likelihood at ``theta``."""
+    return _information_kernel(pooled, bx, bt)(theta)
 
 
 #: past this max|theta| a run is drifting to an estimate at infinity
@@ -285,16 +328,21 @@ def _newton(theta0, pooled, bx, bt, penalties=(), max_iter=MAX_ITER):
     ``ConvergenceError`` when ``max_iter`` iterations do not converge.
     """
 
-    def penalized_deviance(th):
-        return -2.0 * _loglik(_eta(bx, th, bt), pooled) + float(th @ total @ th)
+    def fit_deviance(th):
+        """eta at ``th`` and the unpenalized deviance -2 loglik."""
+        eta = _eta(bx, th, bt)
+        return eta, -2.0 * _loglik(eta, pooled)
 
+    kernel = _information_kernel(pooled, bx, bt)
     theta = np.asarray(theta0, dtype=float).copy()
     lams = np.ones(len(penalties))
     total = sum((lam * S for lam, (S, _) in zip(lams, penalties)), np.zeros((len(theta),) * 2))
-    dev = penalized_deviance(theta)
+    # eta and -2 loglik of the current theta carry over to the next iteration
+    eta, fit_dev = fit_deviance(theta)
+    dev = fit_dev + float(theta @ total @ theta)
     trace = [dev]
     for _ in range(max_iter):
-        score, info = _score_information(theta, pooled, bx, bt)
+        score, info = kernel(theta, eta)
         settled = True
         if penalties:
             quads = np.array([theta @ S @ theta for S, _ in penalties])
@@ -310,27 +358,27 @@ def _newton(theta0, pooled, bx, bt, penalties=(), max_iter=MAX_ITER):
                     )
                 lams = edfs / quads
                 total = sum(lam * S for lam, (S, _) in zip(lams, penalties))
-                dev = penalized_deviance(theta)
+                dev = fit_dev + float(theta @ total @ theta)
         step = _solve(info + total, score - total @ theta)
         scale = 1.0
         for _ in range(40):
             cand = theta + scale * step
-            cand_dev = penalized_deviance(cand)
+            cand_eta, cand_fit = fit_deviance(cand)
+            cand_dev = cand_fit + float(cand @ total @ cand)
             if cand_dev <= dev + 1e-13 * (abs(dev) + 1.0):
                 break
             scale *= 0.5
         else:
-            cand, cand_dev = theta, dev
+            cand, cand_eta, cand_fit, cand_dev = theta, eta, fit_dev, dev
         rel_change = abs(dev - cand_dev) / (abs(dev) + 0.1)
-        theta, dev = cand, cand_dev
+        theta, eta, fit_dev, dev = cand, cand_eta, cand_fit, cand_dev
         trace.append(dev)
         if np.max(np.abs(theta)) > DIVERGENCE_CAP:
             raise NumericError(
                 f"coefficients diverging past {DIVERGENCE_CAP:g} (likely separation)"
             )
         if settled and rel_change < DEVIANCE_RTOL:
-            hessian = _score_information(theta, pooled, bx, bt)[1] + total
-            return theta, trace, lams, hessian
+            return theta, trace, lams, kernel(theta, eta)[1] + total
     raise ConvergenceError(f"did not converge in {max_iter} iterations", trace=trace)
 
 
@@ -497,12 +545,12 @@ def sample_theta(
     # Mahalanobis norm ||z||^2, so the ellipsoid test reduces to a chi2 bound.
     bound = wald_ellipsoid_radius(model, alpha)
     rng = np.random.default_rng(seed)
-    draws: list[np.ndarray] = []
-    while len(draws) < B:
+    accepted: list[np.ndarray] = []
+    while len(accepted) < B:
         z = rng.standard_normal(R)
         if float(z @ z) <= bound:
-            draws.append(model.theta + np.linalg.solve(L.T, z))
-    return draws
+            accepted.append(z)
+    return list(model.theta + np.linalg.solve(L.T, np.array(accepted).T).T)
 
 
 def wald_ellipsoid_radius(model: FittedDensityModel, alpha: float) -> float:

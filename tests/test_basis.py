@@ -139,6 +139,12 @@ def test_categorical_training_values_outside_levels():
         build_covariate_basis(spec, ["W", "N"])
 
 
+def test_categorical_unseen_levels_error_names_the_first_in_sorted_order():
+    spec = PartialEffectSpec.categorical("region", ["W", "E"], reference="W")
+    with pytest.raises(DataError, match="unseen level 'N' for covariate 'region'"):
+        build_covariate_basis(spec, ["W", "S", "N", "E", "S"])
+
+
 def test_smooth_column_count_and_centering():
     rng = np.random.default_rng(0)
     ages = rng.uniform(20, 65, size=200)

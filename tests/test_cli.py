@@ -331,3 +331,18 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.splitlines() == ["False", "False", "[]"]
+
+
+def test_categorical_levels_are_checked_without_numpy_ma():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = (
+        "import sys, numpy as np, cfdens.cli\n"
+        "from cfdens.basis import PartialEffectSpec, build_covariate_basis, covariate_matrix\n"
+        "spec = PartialEffectSpec.categorical('edu', ['low', 'mid', 'high'], 'low')\n"
+        "basis = build_covariate_basis(spec, np.array(['low', 'mid', 'high', 'mid']))\n"
+        "covariate_matrix([basis], {'edu': np.array(['high', 'low'])}, 2)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines() == ["False"]

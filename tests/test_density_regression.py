@@ -495,6 +495,20 @@ def test_sample_theta_deterministic():
     assert not np.array_equal(d1[0], d3[0])
 
 
+def test_sample_theta_matches_one_solve_per_draw():
+    model = _small_model()
+    bound = wald_ellipsoid_radius(model, alpha=0.05)
+    L = np.linalg.cholesky(model.fisher_information + 1e-10 * np.eye(model.n_coefficients))
+    rng, want = np.random.default_rng(7), []
+    while len(want) < 20:
+        z = rng.standard_normal(model.n_coefficients)
+        if z @ z <= bound:
+            want.append(model.theta + np.linalg.solve(L.T, z))
+    got = sample_theta(model, alpha=0.05, B=20, seed=7)
+    assert len(got) == 20
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_sample_theta_draws_inside_ellipsoid():
     model = _small_model()
     bound = wald_ellipsoid_radius(model, alpha=0.05)
