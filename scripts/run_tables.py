@@ -2,9 +2,10 @@
 
 Reproduces the complete simulation study (sample sizes up to 100000, 1000
 replications) and writes mc_report.csv.  One replication of both estimators
-over the whole n ladder takes about 1.1 s on 2 cores of an Intel Xeon VM
-(0.04 s at n = 1000, 0.69 s at n = 100000), so the full study takes about
-18 minutes there; this is extrapolated from 10 replications per n.  The
+over the whole n ladder takes about 0.21 s on 2 cores of an Intel Xeon VM
+(0.009 s at n = 1000, 0.13 s at n = 100000), so the full study takes about
+3.5 minutes there; this is extrapolated from ``run_study`` timed over 10
+replications per n in one process.  The
 200-replication version used by the test suite runs via
 ``cfdens simulate --config configs/simulation.cfg``.
 """

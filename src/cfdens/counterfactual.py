@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import covariate_matrix
-from .density_regression import FittedDensityModel, distinct_rows, predict_densities, sample_theta
+from .density_regression import (
+    FittedDensityModel,
+    cached_distinct_rows,
+    predict_densities,
+    sample_theta,
+)
 from .errors import ConfigError, StructuralError
 from .measure_grid import GridDensity, GridSpec, integrate, tv_distance
 
@@ -26,10 +31,16 @@ PAIR_BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class CovariateSample:
-    """Weighted covariate vectors from one group (empirical distribution)."""
+    """Weighted covariate vectors from one group (empirical distribution).
+
+    The distinct covariate combinations are computed once per tuple of names
+    and cached, so the covariate arrays must not be mutated after
+    construction.
+    """
 
     covariates: dict[str, np.ndarray]
     weights: np.ndarray
+    _distinct: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         covs = {k: np.asarray(v) for k, v in self.covariates.items()}
@@ -45,7 +56,10 @@ class CovariateSample:
 
     @classmethod
     def from_table(cls, table) -> "CovariateSample":
-        return cls(covariates=dict(table.covariates), weights=table.weights.copy())
+        """The table's rows; the sample shares the table's cache of combinations."""
+        sample = cls(covariates=dict(table.covariates), weights=table.weights.copy())
+        object.__setattr__(sample, "_distinct", table._distinct)
+        return sample
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -69,7 +83,7 @@ class CovariateSample:
         Combinations are ordered by their integer codes; each pooled weight
         adds its rows' weights in row order.
         """
-        first, inverse = distinct_rows(self.covariates, names, len(self))
+        first, inverse = cached_distinct_rows(self._distinct, self.covariates, names, len(self))
         return first, np.bincount(inverse, weights=self.weights)
 
 

@@ -31,12 +31,18 @@ DEVIANCE_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class ObservationTable:
-    """Rows (outcome, covariates, weight) for one treatment group."""
+    """Rows (outcome, covariates, weight) for one treatment group.
+
+    The distinct covariate combinations are computed once per tuple of names
+    and cached, so the covariate arrays must not be mutated after
+    construction.
+    """
 
     outcomes: np.ndarray
     covariates: dict[str, np.ndarray]
     weights: np.ndarray
     group: str = ""
+    _distinct: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         outcomes = np.asarray(self.outcomes, dtype=float)
@@ -60,6 +66,10 @@ class ObservationTable:
     def __len__(self) -> int:
         return len(self.outcomes)
 
+    def distinct_rows(self, names) -> tuple[np.ndarray, np.ndarray]:
+        """``distinct_rows`` of this table over ``names``, from the cache."""
+        return cached_distinct_rows(self._distinct, self.covariates, names, len(self))
+
 
 @dataclass(frozen=True)
 class PooledHistogram:
@@ -80,15 +90,40 @@ def distinct_rows(covariates: dict, names, n_rows: int) -> tuple[np.ndarray, np.
     """The first row of each distinct combination over ``names``, and each row's combination.
 
     Combinations come in the sorted order of their values, first name most
-    significant, whatever the order of the rows.
+    significant, whatever the order of the rows.  Each step ranks the combined
+    codes ``inverse * L + codes``: by a table of the codes present where it
+    has at most ``4 * n_rows`` entries, else by a sort.
     """
-    first, inverse = np.zeros(1, dtype=np.intp), np.zeros(n_rows, dtype=np.intp)
+    inverse, size = np.zeros(n_rows, dtype=np.intp), 1
     for n in names:
         levels, codes = np.unique(covariates[n], return_inverse=True)
-        # recoding each time keeps the combined code below n_rows
-        _, first, inverse = np.unique(inverse * len(levels) + codes.ravel(),
-                                      return_index=True, return_inverse=True)
+        # recoding each time keeps the combined code below n_rows * L
+        combined = inverse * len(levels) + codes.ravel()
+        if size * len(levels) <= 4 * n_rows:
+            present = np.zeros(size * len(levels), dtype=bool)
+            present[combined] = True
+            inverse = (np.cumsum(present, dtype=np.intp) - 1)[combined]
+            size = int(np.count_nonzero(present))
+        else:
+            unique, inverse = np.unique(combined, return_inverse=True)
+            size = len(unique)
+    first = np.full(size, n_rows, dtype=np.intp)
+    np.minimum.at(first, inverse, np.arange(n_rows))
     return first, inverse
+
+
+def cached_distinct_rows(cache: dict, covariates: dict, names,
+                         n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``distinct_rows`` over ``names``, computed once per ``cache`` and tuple of names.
+
+    The cached arrays are read-only.
+    """
+    key = tuple(names)
+    if key not in cache:
+        first, inverse = distinct_rows(covariates, key, n_rows)
+        first.flags.writeable = inverse.flags.writeable = False
+        cache[key] = first, inverse
+    return cache[key]
 
 
 def bin_and_pool(data: ObservationTable, grid: GridSpec) -> PooledHistogram:
@@ -102,7 +137,7 @@ def bin_and_pool(data: ObservationTable, grid: GridSpec) -> PooledHistogram:
         i = int(np.argmax(cells < 0))
         raise DataError(f"row {i}: {grid.domain_error(float(data.outcomes[i]))}")
     names = sorted(data.covariates)
-    first, inverse = distinct_rows(data.covariates, names, len(data))
+    first, inverse = data.distinct_rows(names)
     counts = np.bincount(inverse * grid.n_cells + cells, weights=data.weights,
                          minlength=len(first) * grid.n_cells).reshape(len(first), grid.n_cells)
     return PooledHistogram(

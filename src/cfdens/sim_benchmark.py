@@ -134,12 +134,30 @@ def true_counterfactual(spec: DgpSpec, model_group: int, cov_group: int, grid: G
     return GridDensity.from_unnormalized(grid, values)
 
 
+def _quartiles(samples: np.ndarray) -> tuple[float, float]:
+    """``np.percentile(samples, [75, 25])``, bit for bit, from one partition.
+
+    The same linear interpolation as numpy's, without ``np.percentile``,
+    which imports ``numpy.ma``.
+    """
+    n = len(samples)
+    positions = [(q * (n - 1), int(q * (n - 1))) for q in (0.75, 0.25)]
+    kth = sorted({k for _, i in positions for k in (i, min(i + 1, n - 1))})
+    ordered = np.partition(samples, kth)
+    out = []
+    for v, i in positions:
+        a, b, t = float(ordered[i]), float(ordered[min(i + 1, n - 1)]), v - i
+        # numpy's _lerp: interpolate from the nearer end
+        out.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return out[0], out[1]
+
+
 def silverman_bandwidth(samples: np.ndarray) -> float:
     """Rule-of-thumb bandwidth 0.9 * min(sd, IQR/1.34) * n^(-1/5)."""
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     sd = float(np.std(samples, ddof=1)) if n > 1 else 0.0
-    q75, q25 = np.percentile(samples, [75, 25])
+    q75, q25 = _quartiles(samples)
     scale = min(sd, (q75 - q25) / 1.34)
     return 0.9 * scale * n ** (-0.2)
 
@@ -159,15 +177,13 @@ def kde_density(samples: np.ndarray, grid: GridSpec, bandwidth: float | None = N
 
 
 def kde_conditional(data: ObservationTable, grid: GridSpec) -> dict[tuple, GridDensity]:
-    """Per-covariate-cell KDE; errors on empty cells."""
+    """Per-covariate-cell KDE over the table's distinct covariate combinations."""
     names = sorted(data.covariates)
+    first, inverse = data.distinct_rows(names)
     out = {}
-    for i in CovariateSample(data.covariates, data.weights).pooled(names)[0]:
+    for k, i in enumerate(first):
         key = tuple((n, data.covariates[n][i]) for n in names)
-        mask = np.ones(len(data), dtype=bool)
-        for n, v in key:
-            mask &= data.covariates[n] == v
-        out[key] = kde_density(data.outcomes[mask], grid)
+        out[key] = kde_density(data.outcomes[inverse == k], grid)
     return out
 
 

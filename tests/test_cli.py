@@ -342,7 +342,13 @@ def test_categorical_levels_are_checked_without_numpy_ma():
         "basis = build_covariate_basis(spec, np.array(['low', 'mid', 'high', 'mid']))\n"
         "covariate_matrix([basis], {'edu': np.array(['high', 'low'])}, 2)\n"
         "print('numpy.ma' in sys.modules)\n"
+        "from cfdens.measure_grid import GridSpec, ReferenceMeasure\n"
+        "from cfdens.sim_benchmark import DgpSpec, kde_conditional, silverman_bandwidth, simulate\n"
+        "silverman_bandwidth(np.linspace(0.0, 1.0, 9))\n"
+        "grid = GridSpec.from_measure(ReferenceMeasure(continuous_interval=(0.0, 1.0)), 10)\n"
+        "kde_conditional(simulate(DgpSpec(), 1, 200, seed=0), grid)\n"
+        "print('numpy.ma' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.splitlines() == ["False"]
+    assert out.stdout.splitlines() == ["False", "False"]

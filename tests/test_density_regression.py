@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from cfdens.basis import (
     build_outcome_basis,
 )
 from cfdens import density_regression
+from cfdens.counterfactual import CovariateSample
 from cfdens.density_regression import (
     ObservationTable,
     bayes_loglik,
@@ -154,6 +156,72 @@ def test_bin_and_pool_matches_per_row_loop(mixed_measure, mixed_grid):
         assert total == pytest.approx(expected.sum(), rel=1e-12)
         np.testing.assert_allclose(permuted_counts, expected, rtol=1e-12)
     assert pooled.counts[:, mixed_grid.n_continuous - 1].sum() > 0
+
+
+def _distinct_rows_by_sorting(covariates, names, n_rows):
+    """Reference: one np.unique of the combined codes per covariate."""
+    first, inverse = np.zeros(1, dtype=np.intp), np.zeros(n_rows, dtype=np.intp)
+    for n in names:
+        levels, codes = np.unique(covariates[n], return_inverse=True)
+        _, first, inverse = np.unique(inverse * len(levels) + codes.ravel(),
+                                      return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _random_columns(rng, n):
+    return {
+        "s": rng.choice(np.array(["low", "mid", "high"]), n),
+        "f": rng.normal(size=n).round(int(rng.integers(0, 3))),
+        "u": rng.normal(size=n),  # all distinct
+        "i": rng.integers(0, int(rng.integers(1, 40)), n),
+        "o": np.array([("x", "y", "z")[k] for k in rng.integers(0, 3, n)], dtype=object),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 400])
+def test_distinct_rows_matches_sorting_each_step(n):
+    rng = np.random.default_rng(n)
+    for _ in range(40):
+        columns = _random_columns(rng, n)
+        names = list(rng.permutation(list(columns)))[: int(rng.integers(0, len(columns) + 1))]
+        first, inverse = density_regression.distinct_rows(columns, names, n)
+        ref_first, ref_inverse = _distinct_rows_by_sorting(columns, names, n)
+        assert first.dtype == ref_first.dtype and inverse.dtype == ref_inverse.dtype
+        assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
+
+
+def test_distinct_rows_of_all_distinct_floats_stays_small():
+    n = 20_000
+    rng = np.random.default_rng(3)
+    columns = {"a": rng.normal(size=n), "b": rng.normal(size=n)}
+    tracemalloc.start()
+    try:
+        first, inverse = density_regression.distinct_rows(columns, ["a", "b"], n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(first) == n and np.array_equal(np.sort(inverse), np.arange(n))
+    assert peak < 50e6
+
+
+def test_table_pools_its_combinations_once_and_shares_them_with_its_sample(monkeypatch):
+    calls = []
+    distinct_rows = density_regression.distinct_rows
+    monkeypatch.setattr(density_regression, "distinct_rows",
+                        lambda *args: calls.append(args[1]) or distinct_rows(*args))
+    rng = np.random.default_rng(4)
+    table = ObservationTable(rng.uniform(size=50), _random_columns(rng, 50), None)
+    first, inverse = table.distinct_rows(["s", "i"])
+    assert table.distinct_rows(("s", "i"))[1] is inverse
+    sample = CovariateSample.from_table(table)
+    assert sample.pooled(["s", "i"])[0] is first
+    assert calls == [("s", "i")]
+    with pytest.raises(ValueError):
+        inverse[0] = 1  # cached arrays are read-only
+    table.distinct_rows(["i", "s"])
+    assert calls == [("s", "i"), ("i", "s")]
+    # the cache is not part of a table's value
+    assert "_distinct" not in repr(table) and table == replace(table)
 
 
 # ---------------------------------------------------- class probabilities

@@ -1,8 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.stats import beta, kstest
 
-from cfdens import sim_benchmark
+from cfdens import counterfactual, density_regression, sim_benchmark
 from cfdens.density_regression import ObservationTable
 from cfdens.errors import DataError, DomainError
 from cfdens.measure_grid import GridDensity, integrate, tv_distance
@@ -155,6 +157,16 @@ def test_silverman_uses_smaller_of_sd_and_iqr():
     )
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 11, 101, 400])
+def test_quartiles_are_numpy_percentile_exactly(n):
+    rng = np.random.default_rng(n)
+    samples = [rng.beta(2, 5, n), rng.normal(size=n), np.round(rng.beta(2, 2, n), 1),
+               np.full(n, 0.3), np.sort(rng.uniform(size=n))[::-1]]
+    for x in samples:
+        q75, q25 = np.percentile(x, [75, 25])
+        assert sim_benchmark._quartiles(x) == (q75, q25)
+
+
 def test_kde_density_integrates_to_one():
     rng = np.random.default_rng(1)
     grid = unit_grid(50)
@@ -186,6 +198,34 @@ def test_kde_conditional_groups_by_cell():
     assert len(out) == 8
     for dens in out.values():
         assert integrate(dens.values, unit_grid(25)) == pytest.approx(1.0, abs=1e-10)
+
+
+def _kde_by_string_masks(data, grid):
+    """Reference: each cell's rows found by comparing every covariate value."""
+    names = sorted(data.covariates)
+    keys = sorted({tuple((n, data.covariates[n][i]) for n in names) for i in range(len(data))})
+    out = {}
+    for key in keys:
+        mask = np.ones(len(data), dtype=bool)
+        for n, v in key:
+            mask &= data.covariates[n] == v
+        out[key] = kde_density(data.outcomes[mask], grid)
+    return out
+
+
+def test_kde_conditional_is_bit_identical_to_string_masks():
+    grid = unit_grid(50)
+    table = simulate(DgpSpec(), 0, 3000, seed=5)
+    rng = np.random.default_rng(5)
+    order = rng.permutation(len(table))
+    weighted = ObservationTable(table.outcomes[order],
+                                {k: v[order] for k, v in table.covariates.items()},
+                                rng.uniform(0.2, 3.0, len(table)))
+    for data in (table, weighted):
+        out, reference = kde_conditional(data, grid), _kde_by_string_masks(data, grid)
+        assert list(out) == list(reference)
+        for key, dens in out.items():
+            assert np.array_equal(dens.values, reference[key].values)
 
 
 # ------------------------------------------------------------ Bayes estimator
@@ -231,6 +271,47 @@ def test_run_study_deterministic():
     r1 = run_study(DgpSpec(), **kwargs)
     r2 = run_study(DgpSpec(), **kwargs)
     assert r1.to_table() == r2.to_table()
+
+
+def _count_distinct_rows(monkeypatch):
+    """Count the calls of ``distinct_rows`` under every name that binds it."""
+    calls = []
+    original = density_regression.distinct_rows
+
+    def counted(*args):
+        calls.append(args[1])
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cfdens" and getattr(module, "distinct_rows", None) is original:
+            monkeypatch.setattr(module, "distinct_rows", counted)
+    return calls
+
+
+def test_a_replication_pools_each_group_once(monkeypatch):
+    calls = _count_distinct_rows(monkeypatch)
+    spec, grid = DgpSpec(), unit_grid(50)
+    truths_cf = {tgt: true_counterfactual(spec, k, l, grid)
+                 for tgt, (k, l) in sim_benchmark._KL.items()}
+    truths_cond = {(g, c): true_conditional(spec, g, c, grid) for g in (1, 0) for c in range(8)}
+    scores = sim_benchmark._replication_scores(spec, 1000, 3, grid, ("bayes", "kde"),
+                                               truths_cf, truths_cond, 12, 3)
+    assert scores["bayes"] is not None and scores["kde"] is not None
+    assert calls == [("x1", "x2", "x3")] * 2
+
+
+def test_run_study_is_unchanged_without_the_cache(monkeypatch):
+    kwargs = dict(n_values=[500, 2000], replications=2, seed=11)
+    cached = run_study(DgpSpec(), **kwargs).to_table()
+
+    def uncached(cache, covariates, names, n_rows):
+        return density_regression.distinct_rows(covariates, tuple(names), n_rows)
+
+    for module in (density_regression, counterfactual):
+        monkeypatch.setattr(module, "cached_distinct_rows", uncached)
+    calls = _count_distinct_rows(monkeypatch)
+    assert run_study(DgpSpec(), **kwargs).to_table() == cached
+    assert len(calls) == 2 * 2 * 10  # n values x replications x calls per replication
 
 
 def test_run_study_rejects_zero_replications():
