@@ -1,11 +1,11 @@
 """Full-scale Monte Carlo benchmark run.
 
 Reproduces the complete simulation study (sample sizes up to 100000, 1000
-replications) and writes mc_report.csv.  One replication of both estimators
-over the whole n ladder takes about 0.21 s on 2 cores of an Intel Xeon VM
-(0.009 s at n = 1000, 0.13 s at n = 100000), so the full study takes about
-3.5 minutes there; this is extrapolated from ``run_study`` timed over 10
-replications per n in one process.  The
+replications) and writes mc_report.csv.  The replications run on one worker
+process per available core.  On 2 cores of an Intel Xeon VM one replication
+of both estimators over the whole n ladder takes 0.16-0.28 s of wall time
+with two workers, so the full study takes about 3-5 minutes there; this is
+extrapolated from ``run_study`` timed over 10 replications per n.  The
 200-replication version used by the test suite runs via
 ``cfdens simulate --config configs/simulation.cfg``.
 """

@@ -11,6 +11,7 @@ over seeded replications.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,8 +172,15 @@ def kde_density(samples: np.ndarray, grid: GridSpec, bandwidth: float | None = N
     if h <= 0:
         span = grid.edges[-1] - grid.edges[0] if grid.n_continuous else 1.0
         h = 1e-6 * span
-    z = (grid.centers[:, None] - samples[None, :]) / h
-    values = np.exp(-0.5 * z * z).sum(axis=1) / (len(samples) * h * np.sqrt(2 * np.pi))
+    # bin centres in row blocks of ~32768 kernel values, so the temporaries
+    # stay in cache; each row still sums one contiguous vector, so the result
+    # is the unblocked formula's, bit for bit
+    block = max(1, 32768 // len(samples))
+    values = np.empty(len(grid.centers))
+    for lo in range(0, len(values), block):
+        z = (grid.centers[lo:lo + block, None] - samples[None, :]) / h
+        values[lo:lo + block] = np.exp(-0.5 * z * z).sum(axis=1)
+    values /= len(samples) * h * np.sqrt(2 * np.pi)
     return GridDensity.from_unnormalized(grid, values)
 
 
@@ -231,12 +239,15 @@ def fit_bayes_group(data: ObservationTable, grid: GridSpec,
     """
     measure = ReferenceMeasure(continuous_interval=(0.0, 1.0))
     outcome_basis = build_outcome_basis(measure, grid, spline_count, degree)
+    pooled = bin_and_pool(data, grid)
+    # a categorical basis reads its training values only to check their levels,
+    # so the pooled combinations, one per distinct row, stand in for all rows
     cov_bases = [build_covariate_basis(PartialEffectSpec.intercept(), [None])] + [
         build_covariate_basis(PartialEffectSpec.categorical(n, ("1", "2"), "1"),
-                              data.covariates[n])
+                              [c[n] for c in pooled.combinations])
         for n in COVARIATE_NAMES
     ]
-    return fit_smoothed(bin_and_pool(data, grid), cov_bases, outcome_basis)
+    return fit_smoothed(pooled, cov_bases, outcome_basis)
 
 
 def _bayes_estimates(datas, samples, grid, spline_count, degree):
@@ -297,6 +308,35 @@ def _replication_scores(spec, n, seed, grid, estimators, truths_cf, truths_cond,
     return scores
 
 
+def _map_replications(spec, tasks, seed, args) -> dict:
+    """``_replication_scores`` of every (n, r) task, on up to one worker per core.
+
+    One worker runs the tasks in this process.  More run in a process pool
+    forked from this one.  The first failure cancels the tasks not yet started and is raised with its
+    own class; a worker that dies raises ``BrokenProcessPool``.  Every worker
+    is joined before this returns or raises.
+    """
+    # one worker where the platform cannot tell which cores this process may
+    # use (macOS, Windows), which also keeps it off the fork start method there
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(tasks), cores)
+    if workers <= 1:
+        return {(n, r): _replication_scores(spec, n, seed + r, *args) for n, r in tasks}
+    # imported here, so that importing cfdens loads no process-pool machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    # fork, not the platform default: a forked worker inherits the imported
+    # modules, and the pool forks every worker before it starts its own threads
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = {pool.submit(_replication_scores, spec, n, seed + r, *args): (n, r)
+                   for n, r in tasks}
+        return {futures[f]: f.result() for f in as_completed(futures)}
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_study(
     spec: DgpSpec,
     n_values,
@@ -322,15 +362,18 @@ def run_study(
     truths_cond = {
         (g, c): true_conditional(spec, g, c, grid) for g in (1, 0) for c in range(8)
     }
+    # the largest n first, so that the longest replications do not finish last
+    tasks = sorted({(n, r) for n in n_values for r in range(replications)},
+                   key=lambda task: (-task[0], task[1]))
+    args = (grid, estimators, truths_cf, truths_cond, spline_count, degree)
+    scores_by_task = _map_replications(spec, tasks, seed, args)
     targets = COUNTERFACTUAL_TARGETS + CONDITIONAL_TARGETS
     rows = []
     for n in n_values:
         acc = {est: {t: [] for t in targets} for est in estimators}
         excluded = {est: 0 for est in estimators}
         for r in range(replications):
-            scores = _replication_scores(spec, n, seed + r, grid, estimators, truths_cf,
-                                         truths_cond, spline_count, degree)
-            for est, est_scores in scores.items():
+            for est, est_scores in scores_by_task[(n, r)].items():
                 if est_scores is None:
                     excluded[est] += 1
                     continue

@@ -1,12 +1,17 @@
+import ast
+import multiprocessing
+import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from scipy.stats import beta, kstest
 
 from cfdens import counterfactual, density_regression, sim_benchmark
+from cfdens.basis import PartialEffectSpec, build_covariate_basis
 from cfdens.density_regression import ObservationTable
-from cfdens.errors import DataError, DomainError
+from cfdens.errors import ConfigError, DataError, DomainError
 from cfdens.measure_grid import GridDensity, integrate, tv_distance
 from cfdens.sim_benchmark import (
     CONTROL_CELL_PROBS,
@@ -192,6 +197,29 @@ def test_kde_empty_sample_errors():
         kde_density(np.empty(0), unit_grid(10))
 
 
+def _kde_unblocked(samples, grid, bandwidth=None):
+    """Reference: the kernel sums of every bin centre in one (cells, n) array."""
+    samples = np.asarray(samples, dtype=float)
+    h = silverman_bandwidth(samples) if bandwidth is None else bandwidth
+    if h <= 0:
+        h = 1e-6 * (grid.edges[-1] - grid.edges[0])
+    z = (grid.centers[:, None] - samples[None, :]) / h
+    values = np.exp(-0.5 * z * z).sum(axis=1) / (len(samples) * h * np.sqrt(2 * np.pi))
+    return GridDensity.from_unnormalized(grid, values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 60, 1500, 40_000])
+def test_kde_density_in_blocks_is_bit_identical(n):
+    spread = np.random.default_rng(n).beta(2, 5, n)
+    for grid in (unit_grid(50), unit_grid(600)):  # one block or several, the last partial
+        # tied at a centre, Silverman's bandwidth is 0 and the h <= 0 floor applies
+        tied = np.full(n, grid.centers[7])
+        cases = [(spread, 0.05), (tied, None), (tied, 0.0)] + [(spread, None)] * (n > 1)
+        for samples, bandwidth in cases:
+            out = kde_density(samples, grid, bandwidth)
+            assert np.array_equal(out.values, _kde_unblocked(samples, grid, bandwidth).values)
+
+
 def test_kde_conditional_groups_by_cell():
     table = simulate(DgpSpec(), 1, 4000, seed=9)
     out = kde_conditional(table, unit_grid(25))
@@ -253,6 +281,30 @@ def test_fit_bayes_group_invariant_to_weight_scale_and_row_order():
         assert model.smoothing_parameter == pytest.approx(base.smoothing_parameter, rel=1e-8)
 
 
+def test_fit_bayes_group_checks_levels_on_distinct_rows():
+    data = simulate(DgpSpec(), 1, 1000, seed=4)
+    model = fit_bayes_group(data, unit_grid(50))
+    from_all_rows = [build_covariate_basis(PartialEffectSpec.intercept(), [None])] + [
+        build_covariate_basis(PartialEffectSpec.categorical(n, ("1", "2"), "1"),
+                              data.covariates[n])
+        for n in ("x1", "x2", "x3")
+    ]
+    assert list(model.covariate_bases) == from_all_rows
+
+
+def test_fit_bayes_group_names_an_unseen_level_as_before():
+    data = simulate(DgpSpec(), 0, 500, seed=4)
+    x2 = data.covariates["x2"].copy()
+    x2[[3, 100]] = ["7", "3"]
+    table = ObservationTable(data.outcomes, dict(data.covariates, x2=x2), data.weights)
+    spec = PartialEffectSpec.categorical("x2", ("1", "2"), "1")
+    with pytest.raises(DataError) as from_all_rows:
+        build_covariate_basis(spec, x2)
+    with pytest.raises(DataError) as fitted:
+        fit_bayes_group(table, unit_grid(50))
+    assert str(fitted.value) == str(from_all_rows.value) == "unseen level '3' for covariate 'x2'"
+
+
 # ------------------------------------------------------------------- study
 
 def test_run_study_report_shape():
@@ -273,34 +325,53 @@ def test_run_study_deterministic():
     assert r1.to_table() == r2.to_table()
 
 
-def _count_distinct_rows(monkeypatch):
-    """Count the calls of ``distinct_rows`` under every name that binds it."""
-    calls = []
+def _recorder(path):
+    """(record, recorded): one line per call, appended by whichever process makes it.
+
+    The study's workers are forked from the test process, so a list in the
+    test would not see their calls; a file does.
+    """
+    def record(value):
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(repr(value) + "\n")
+
+    def recorded():
+        if not path.exists():
+            return []
+        return [ast.literal_eval(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+    return record, recorded
+
+
+def _count_distinct_rows(monkeypatch, path):
+    """Record the calls of ``distinct_rows`` under every name that binds it."""
+    record, recorded = _recorder(path)
     original = density_regression.distinct_rows
 
     def counted(*args):
-        calls.append(args[1])
+        record(args[1])
         return original(*args)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "cfdens" and getattr(module, "distinct_rows", None) is original:
             monkeypatch.setattr(module, "distinct_rows", counted)
-    return calls
+    return recorded
 
 
-def test_a_replication_pools_each_group_once(monkeypatch):
-    calls = _count_distinct_rows(monkeypatch)
+def test_a_replication_pools_each_group_once(monkeypatch, tmp_path):
+    recorded = _count_distinct_rows(monkeypatch, tmp_path / "calls")
     spec, grid = DgpSpec(), unit_grid(50)
     truths_cf = {tgt: true_counterfactual(spec, k, l, grid)
                  for tgt, (k, l) in sim_benchmark._KL.items()}
     truths_cond = {(g, c): true_conditional(spec, g, c, grid) for g in (1, 0) for c in range(8)}
     scores = sim_benchmark._replication_scores(spec, 1000, 3, grid, ("bayes", "kde"),
                                                truths_cf, truths_cond, 12, 3)
+    calls = recorded()
     assert scores["bayes"] is not None and scores["kde"] is not None
     assert calls == [("x1", "x2", "x3")] * 2
 
 
-def test_run_study_is_unchanged_without_the_cache(monkeypatch):
+def test_run_study_is_unchanged_without_the_cache(monkeypatch, tmp_path):
     kwargs = dict(n_values=[500, 2000], replications=2, seed=11)
     cached = run_study(DgpSpec(), **kwargs).to_table()
 
@@ -309,8 +380,9 @@ def test_run_study_is_unchanged_without_the_cache(monkeypatch):
 
     for module in (density_regression, counterfactual):
         monkeypatch.setattr(module, "cached_distinct_rows", uncached)
-    calls = _count_distinct_rows(monkeypatch)
+    recorded = _count_distinct_rows(monkeypatch, tmp_path / "calls")
     assert run_study(DgpSpec(), **kwargs).to_table() == cached
+    calls = recorded()
     assert len(calls) == 2 * 2 * 10  # n values x replications x calls per replication
 
 
@@ -328,27 +400,89 @@ def test_report_table_round_trips_floats():
     assert mean_tv == report.lookup("kde", 300, "f11")["mean_tv"]
 
 
-def test_run_study_fits_with_the_given_basis_degree(monkeypatch):
-    degrees = []
+def test_run_study_fits_with_the_given_basis_degree(monkeypatch, tmp_path):
+    record, recorded = _recorder(tmp_path / "degrees")
 
     def recording_fit(*args, **kwargs):
         model = fit_bayes_group(*args, **kwargs)
-        degrees.append(model.outcome_basis.degree)
+        record(model.outcome_basis.degree)
         return model
 
     monkeypatch.setattr(sim_benchmark, "fit_bayes_group", recording_fit)
     run_study(DgpSpec(), n_values=[300], replications=2, estimators=("bayes",), seed=3,
               degree=2)
+    degrees = recorded()
     assert degrees == [2, 2, 2, 2]  # two groups per replication
 
 
-def test_run_study_simulates_each_replication_once(monkeypatch):
-    calls = []
+def test_run_study_simulates_each_replication_once(monkeypatch, tmp_path):
+    record, recorded = _recorder(tmp_path / "calls")
 
     def counting_simulate(*args, **kwargs):
-        calls.append(args)
+        record(args[1:])
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(sim_benchmark, "simulate", counting_simulate)
     run_study(DgpSpec(), n_values=[300], replications=2, estimators=("bayes", "kde"), seed=3)
+    calls = recorded()
     assert len(calls) == 4  # both groups of both replications, shared by the estimators
+
+
+def _force_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+def _simulating_pids(monkeypatch, path):
+    """Record the process id of every ``simulate`` call of the study."""
+    record, recorded = _recorder(path)
+
+    def recording_simulate(*args, **kwargs):
+        record(os.getpid())
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(sim_benchmark, "simulate", recording_simulate)
+    return recorded
+
+
+def test_run_study_is_the_same_on_one_or_two_workers(monkeypatch, tmp_path):
+    # n = 60 at seed 1: the second replication has an empty control cell,
+    # so its KDE is excluded
+    kwargs = dict(n_values=[60, 300], replications=2, seed=1)
+    tables, pids = [], []
+    for cores in (1, 2):
+        recorded = _simulating_pids(monkeypatch, tmp_path / f"pids{cores}")
+        _force_cores(monkeypatch, cores)
+        report = run_study(DgpSpec(), **kwargs)
+        tables.append(report.to_table())
+        pids.append(recorded())
+    assert report.lookup("kde", 60, "f11")["excluded"] == 1
+    assert report.lookup("kde", 60, "f11")["used"] == 1
+    assert tables[0] == tables[1]
+    assert pids[0] == [os.getpid()] * 8  # one worker: every replication in this process
+    assert len(pids[1]) == 8 and os.getpid() not in pids[1]
+    assert multiprocessing.active_children() == []
+
+
+def test_run_study_runs_in_process_where_cores_are_unknown(monkeypatch, tmp_path):
+    recorded = _simulating_pids(monkeypatch, tmp_path / "pids")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    run_study(DgpSpec(), n_values=[300], replications=2, estimators=("kde",))
+    assert recorded() == [os.getpid()] * 4
+
+
+def test_run_study_raises_a_worker_error_and_leaves_no_worker(monkeypatch):
+    _force_cores(monkeypatch, 2)
+    with pytest.raises(ConfigError, match="unknown estimator 'nope'"):
+        run_study(DgpSpec(), n_values=[300, 500], replications=2, estimators=("kde", "nope"))
+    assert multiprocessing.active_children() == []
+
+
+def test_run_study_fails_when_a_worker_dies(monkeypatch):
+    def dying_simulate(*args, **kwargs):
+        os._exit(3)
+
+    _force_cores(monkeypatch, 2)
+    monkeypatch.setattr(sim_benchmark, "simulate", dying_simulate)
+    with pytest.raises(BrokenProcessPool):
+        run_study(DgpSpec(), n_values=[300], replications=2, estimators=("kde",))
+    assert multiprocessing.active_children() == []
