@@ -50,7 +50,6 @@ from .counterfactual import (
     marginal_effect_ce_j_fast,
     marginal_effect_de_j,
     mean_functional,
-    scalar_density_effect,
     total_effect,
 )
 from .sim_benchmark import (

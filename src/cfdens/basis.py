@@ -110,10 +110,6 @@ class OutcomeBasis:
     def n_columns(self) -> int:
         return self.matrix.shape[1]
 
-    def evaluate_at(self, y: float) -> np.ndarray:
-        """Centered kept columns at an arbitrary outcome value."""
-        return self.evaluate_many([y])[0]
-
     def evaluate_many(self, ys) -> np.ndarray:
         """Centered kept columns (len(ys) x n_columns), one row per outcome value."""
         ys = np.asarray(ys, dtype=float)

@@ -62,6 +62,43 @@ class RunConfig:
             raise ConfigError("draws must be >= 0")
 
 
+#: key -> (RunConfig field, type of its value) for the keys that set one field;
+#: a one-element tuple is a comma-separated list of that type
+FIELDS = {
+    "measure.cap": ("cap", float),
+    "measure.cap_atom": ("cap_atom", float),
+    "grid.bins": ("n_bins", int),
+    "basis.count": ("basis_count", int),
+    "basis.degree": ("basis_degree", int),
+    "uncertainty.alpha": ("alpha", float),
+    "uncertainty.draws": ("draws", int),
+    "uncertainty.seed": ("seed", int),
+    "data.path": ("data_path", str),
+    "data.outcome_column": ("outcome_column", str),
+    "data.group_column": ("group_column", str),
+    "data.treated_label": ("treated_label", str),
+    "data.control_label": ("control_label", str),
+    "data.weight_column": ("weight_column", str),
+    "marginal.covariates": ("marginal_covariates", (str,)),
+    "simulate.n": ("sim_n", (int,)),
+    "simulate.replications": ("sim_replications", int),
+    "simulate.estimators": ("sim_estimators", (str,)),
+}
+#: the other keys, besides ``effect.<covariate>``
+OTHER_KEYS = frozenset({"measure.interval", "measure.atoms", "penalty"})
+
+
+def _value(key: str, text: str, kind):
+    """``text`` as ``kind``; a number that does not parse raises ``ConfigError`` naming the key."""
+    if isinstance(kind, tuple):  # empty names in a list are skipped
+        items = [part.strip() for part in text.split(",")]
+        return [_value(key, item, kind[0]) for item in items if item or kind[0] is not str]
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigError(f"{key}: cannot parse '{text}' as a number") from None
+
+
 def _parse_kv(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -70,8 +107,10 @@ def _parse_kv(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in FIELDS and key not in OTHER_KEYS and not key.startswith("effect."):
+            raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        out[key] = value
     return out
 
 
@@ -95,8 +134,8 @@ def _parse_effect(name: str, text: str) -> PartialEffectSpec:
     if kind == "smooth":
         return PartialEffectSpec.smooth(
             name,
-            knot_count=int(args.get("count", 9)),
-            degree=int(args.get("degree", 3)),
+            knot_count=_value(f"effect.{name} count", args.get("count", "9"), int),
+            degree=_value(f"effect.{name} degree", args.get("degree", "3"), int),
         )
     raise ConfigError(f"effect '{name}': unknown kind '{kind}'")
 
@@ -106,7 +145,7 @@ def parse_config(text: str) -> RunConfig:
 
     interval = None
     if "measure.interval" in kv:
-        parts = [float(p) for p in kv["measure.interval"].split(",")]
+        parts = _value("measure.interval", kv["measure.interval"], (float,))
         if len(parts) != 2:
             raise ConfigError("measure.interval needs two bounds")
         interval = (parts[0], parts[1])
@@ -114,8 +153,8 @@ def parse_config(text: str) -> RunConfig:
     if "measure.atoms" in kv and kv["measure.atoms"]:
         for part in kv["measure.atoms"].split(","):
             bits = part.strip().split(":")
-            loc = float(bits[0])
-            weight = float(bits[1]) if len(bits) > 1 else 1.0
+            loc = _value("measure.atoms", bits[0], float)
+            weight = _value("measure.atoms", bits[1], float) if len(bits) > 1 else 1.0
             atoms.append((loc, weight))
     measure = ReferenceMeasure(continuous_interval=interval, atoms=tuple(atoms))
 
@@ -124,43 +163,14 @@ def parse_config(text: str) -> RunConfig:
         if key.startswith("effect."):
             effects.append(_parse_effect(key[len("effect."):], kv[key]))
 
-    def geti(key, default):
-        return int(kv[key]) if key in kv else default
-
-    def getf(key, default):
-        return float(kv[key]) if key in kv else default
-
     # the fit takes no user penalty; "penalty = 0" is accepted as a no-op
-    if getf("penalty", 0.0) != 0:
+    if _value("penalty", kv.get("penalty", "0"), float) != 0:
         raise ConfigError(f"penalty = {kv['penalty']}: the fit has no penalty option")
 
-    return RunConfig(
-        measure=measure,
-        cap=getf("measure.cap", None) if "measure.cap" in kv else None,
-        cap_atom=getf("measure.cap_atom", None) if "measure.cap_atom" in kv else None,
-        n_bins=geti("grid.bins", 50),
-        basis_count=geti("basis.count", 12),
-        basis_degree=geti("basis.degree", 3),
-        effects=effects,
-        alpha=getf("uncertainty.alpha", 0.05),
-        draws=geti("uncertainty.draws", 100),
-        seed=geti("uncertainty.seed", 0),
-        data_path=kv.get("data.path", ""),
-        outcome_column=kv.get("data.outcome_column", ""),
-        group_column=kv.get("data.group_column", ""),
-        treated_label=kv.get("data.treated_label", ""),
-        control_label=kv.get("data.control_label", ""),
-        weight_column=kv.get("data.weight_column") or None,
-        marginal_covariates=[
-            c.strip() for c in kv.get("marginal.covariates", "").split(",") if c.strip()
-        ],
-        sim_n=[int(x) for x in kv.get("simulate.n", "500, 1000, 5000").split(",")],
-        sim_replications=geti("simulate.replications", 200),
-        sim_estimators=[
-            e.strip() for e in kv.get("simulate.estimators", "bayes, kde").split(",")
-        ],
-        raw_text=text,
-    )
+    # a key left out keeps the RunConfig default
+    fields = {name: _value(key, kv[key], kind)
+              for key, (name, kind) in FIELDS.items() if key in kv}
+    return RunConfig(measure=measure, effects=effects, raw_text=text, **fields)
 
 
 def load_config(path) -> RunConfig:

@@ -19,8 +19,8 @@ from .density_regression import (
     predict_densities,
     sample_theta,
 )
-from .errors import ConfigError, StructuralError
-from .measure_grid import GridDensity, GridSpec, integrate, tv_distance
+from .errors import ConfigError, NumericError, StructuralError
+from .measure_grid import GridDensity, GridSpec, integrate
 
 #: denominator density values below this are masked invalid in ratios
 VALIDITY_FLOOR = 1e-12
@@ -130,14 +130,15 @@ def _ratio(numerator: GridDensity, denominator: GridDensity) -> RatioFunction:
     return RatioFunction(grid=numerator.grid, values=values, valid=valid)
 
 
-def _model_names(model: FittedDensityModel) -> list[str]:
-    return sorted(
-        cb.spec.covariate_name for cb in model.covariate_bases if cb.spec.kind != "intercept"
-    )
+def _rows(covariate_bases, sample: CovariateSample) -> tuple[np.ndarray, np.ndarray]:
+    """B_x over ``covariate_bases`` at the distinct rows of ``sample``, with their weights.
 
-
-def _rows(covariate_bases, sample: CovariateSample, names) -> tuple[np.ndarray, np.ndarray]:
-    """B_x over ``covariate_bases`` at the distinct rows of ``sample``, with their weights."""
+    Rows are distinct over the bases' covariates: the intercept alone is one row.
+    """
+    names = sorted(cb.spec.covariate_name for cb in covariate_bases if cb.spec.kind != "intercept")
+    missing = set(names) - set(sample.names)
+    if missing:
+        raise StructuralError(f"sample lacks covariates {sorted(missing)}")
     first, weights = sample.pooled(names)
     columns = {n: sample.covariates[n][first] for n in names}
     return covariate_matrix(list(covariate_bases), columns, len(first)), weights
@@ -149,11 +150,7 @@ def _counterfactual_average(model: FittedDensityModel, sample: CovariateSample):
     B_x and the pooled weights w are built once; each call costs one
     w' softmax(B_x Theta B_T').
     """
-    names = _model_names(model)
-    missing = set(names) - set(sample.names)
-    if missing:
-        raise StructuralError(f"sample lacks covariates {sorted(missing)}")
-    bx, weights = _rows(model.covariate_bases, sample, names)
+    bx, weights = _rows(model.covariate_bases, sample)
     return lambda theta: GridDensity(model.grid, weights @ predict_densities(model, bx, theta))
 
 
@@ -186,33 +183,43 @@ def _product_measure_average(
     sample_rest: CovariateSample,
     sample_j: CovariateSample,
     j_name: str,
+    rest=None,
 ):
-    """theta -> the model's densities averaged over F(x_{-j}) x F(x_j), exactly.
+    """theta -> the model's densities averaged over F(x_{-j}) x F(x_j).
 
-    Each pair (a, b) of a distinct rest row and a distinct x_j value gets its
-    row of B_x, and the average is sum_ab u_a v_b softmax(B_x Theta B_T')_ab,
-    in blocks of about ``PAIR_BLOCK`` pairs.  The softmax is per pair: with
-    boundary estimates the rest and j parts of eta cancel by hundreds of log
-    units, so a product of separately normalized parts would underflow.
+    ``rest`` indexes the effects of x_{-j}, by default all but j's.  eta is
+    additive: r_a + s_b for a distinct rest row a and x_j value b.  With
+    E = exp(r - max) and F = exp(s - max) row-shifted, the pair normalisers are
+    Z = (E diag(widths)) F' and the average sums E o [(u v' / Z) F] over the
+    rest rows, in blocks of about ``PAIR_BLOCK`` pairs.  Where r and s cancel
+    by more than ~700 log units E o F underflows and ``NumericError`` is raised.
     """
     j_idx = _check_covariate(model, j_name)
-    bases = list(model.covariate_bases)
-    j_cols = _columns(model, [j_idx])
-    rest_cols = _columns(model, [i for i in range(len(bases)) if i != j_idx])
-    rest_names = [n for n in _model_names(model) if n != j_name]
-    bx_rest, u = _rows(bases[:j_idx] + bases[j_idx + 1:], sample_rest, rest_names)
-    bx_j, v = _rows([bases[j_idx]], sample_j, [j_name])
+    bases = model.covariate_bases
+    if rest is None:
+        rest = [i for i in range(len(bases)) if i != j_idx]
+    rest_rows, j_rows = _columns(model, rest), _columns(model, [j_idx])
+    bx_rest, u = _rows([bases[i] for i in rest], sample_rest)
+    bx_j, v = _rows([bases[j_idx]], sample_j)
+    bt, widths = model.outcome_basis.matrix, model.grid.widths
     step = max(1, PAIR_BLOCK // len(v))
 
     def average(theta):
+        coef = (model.theta if theta is None else theta).reshape(-1, bt.shape[1])
+        s = bx_j @ coef[j_rows] @ bt.T
+        f = np.exp(s - s.max(axis=1, keepdims=True))
+        rest_bt = coef[rest_rows] @ bt.T
         values = np.zeros(model.grid.n_cells)
         for start in range(0, len(u), step):
             block = slice(start, start + step)
-            n_rest = len(u[block])
-            pairs = np.empty((n_rest * len(v), len(j_cols) + len(rest_cols)))
-            pairs[:, rest_cols] = np.repeat(bx_rest[block], len(v), axis=0)
-            pairs[:, j_cols] = np.tile(bx_j, (n_rest, 1))
-            values += np.outer(u[block], v).ravel() @ predict_densities(model, pairs, theta)
+            r = bx_rest[block] @ rest_bt
+            e = np.exp(r - r.max(axis=1, keepdims=True))
+            norm = (e * widths) @ f.T
+            # with Z >= tiny and u_a v_b <= 1, u v' / Z and its sums over b stay finite
+            if not np.all(np.isfinite(norm) & (norm >= np.finfo(float).tiny)):
+                raise NumericError("density normaliser is not finite or underflows: "
+                                   "the x_{-j} and x_j parts of eta cancel too far")
+            values += np.einsum("ag,ag->g", (np.outer(u[block], v) / norm) @ f, e)
         return GridDensity(model.grid, values)
 
     return average
@@ -274,20 +281,13 @@ def marginal_effect_ce_j_fast(
     """Interaction-free shortcut: intercept-plus-partial-effect composite.
 
     Averages clr_inverse(intercept + partial effect of j) over each group's
-    marginal of x_j.  The product-measure path is the definitional reference;
-    this one drops the other covariates entirely.
+    marginal of x_j: the product-measure average with the intercept as its
+    only x_{-j} effect.  ``marginal_effect_ce_j`` is the definitional
+    reference; this one drops the other covariates entirely.
     """
-    j_idx = _check_covariate(model_0, j_name)
-    bases = model_0.covariate_bases
-    kept = [i for i, cb in enumerate(bases) if i == j_idx or cb.spec.kind == "intercept"]
-    d_T = model_0.outcome_basis.n_columns
-    theta = model_0.theta.reshape(-1, d_T)[_columns(model_0, kept)].ravel()
-
-    def averaged(sample: CovariateSample) -> GridDensity:
-        bx, weights = _rows([bases[i] for i in kept], sample, [j_name])
-        return GridDensity(model_0.grid, weights @ predict_densities(model_0, bx, theta))
-
-    return _ratio(averaged(sample_1), averaged(sample_0))
+    intercept = [i for i, cb in enumerate(model_0.covariate_bases) if cb.spec.kind == "intercept"]
+    return _ratio(*(_product_measure_average(model_0, sample, sample, j_name, rest=intercept)(None)
+                    for sample in (sample_1, sample_0)))
 
 
 EFFECT_KINDS = ("de", "ce", "te", "ce_j", "de_j")
@@ -338,13 +338,6 @@ def effect_bands(
     draws_0 = sample_theta(model_0, alpha, B, seed=seed * 2 + 2) if B else []
     band_draws = tuple(effect(theta_1, theta_0) for theta_1, theta_0 in zip(draws_1, draws_0))
     return EffectBands(point=point, draws=band_draws)
-
-
-def scalar_density_effect(f1: GridDensity, f0: GridDensity, metric: str = "tv") -> float:
-    """Scalar discrepancy between two densities (total variation)."""
-    if metric != "tv":
-        raise ConfigError(f"unsupported metric '{metric}'")
-    return tv_distance(f1, f0)
 
 
 def mean_functional(f: GridDensity) -> float:

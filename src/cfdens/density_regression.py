@@ -319,11 +319,6 @@ def _information_kernel(pooled, bx, bt):
     return kernel
 
 
-def _score_information(theta, pooled, bx, bt):
-    """Score and profiled Fisher information of the log-likelihood at ``theta``."""
-    return _information_kernel(pooled, bx, bt)(theta)
-
-
 #: past this max|theta| a run is drifting to an estimate at infinity
 DIVERGENCE_CAP = 1e5
 #: |lambda_j theta'S_j theta - edf_j| is twice the slope of the Laplace-approximate

@@ -180,6 +180,9 @@ def kde_density(samples: np.ndarray, grid: GridSpec, bandwidth: float | None = N
     for lo in range(0, len(values), block):
         z = (grid.centers[lo:lo + block, None] - samples[None, :]) / h
         values[lo:lo + block] = np.exp(-0.5 * z * z).sum(axis=1)
+    if not values.any():
+        # e.g. one observation off every bin centre, under the h <= 0 floor
+        raise DataError(f"KDE bandwidth {h:g} leaves no kernel mass on the grid")
     values /= len(samples) * h * np.sqrt(2 * np.pi)
     return GridDensity.from_unnormalized(grid, values)
 

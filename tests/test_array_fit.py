@@ -61,7 +61,7 @@ def test_score_and_information_match_kronecker_blocks(mixed_measure, mixed_grid)
     bx = density_regression._pooled_matrix(pooled, covariate_bases)
     theta = 0.3 * rng.standard_normal(bx.shape[1] * outcome_basis.n_columns)
 
-    score, info = density_regression._score_information(theta, pooled, bx, outcome_basis.matrix)
+    score, info = density_regression._information_kernel(pooled, bx, outcome_basis.matrix)(theta)
     ref_score, ref_info = _reference_score_information(theta, pooled, covariate_bases,
                                                        outcome_basis)
     assert np.max(np.abs(score - ref_score)) <= 1e-12 * np.max(np.abs(ref_score))

@@ -7,6 +7,7 @@ covariate row.  Each test here rebuilds the same quantity one covariate row
 Kronecker design row of a single covariate vector.
 """
 
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -222,3 +223,40 @@ def test_product_measure_rejects_nonfinite_normaliser(bad):
     average = _product_measure_average(model, s0, s1, "z")
     with np.errstate(invalid="ignore"), pytest.raises(NumericError, match="not finite"):
         average(theta)
+
+
+def _cancelling_model(c):
+    """``_smooth_model`` with the intercept at c (y - 1/2) and u = b at minus that.
+
+    The intercept is on the x_{-j} side and u on the x_j side, so for j = u the
+    two parts of eta cancel by about c times the span of the bin centres.
+    """
+    model, grid = _smooth_model(seed=5)
+    coef = model.theta.reshape(-1, model.outcome_basis.n_columns).copy()
+    coef[0] = np.linalg.lstsq(model.outcome_basis.matrix, c * (grid.centers - 0.5), rcond=None)[0]
+    coef[1] = -coef[0]
+    return replace(model, theta=coef.ravel())
+
+
+@pytest.mark.parametrize("c", [10, 100, 300, 600])
+def test_factorized_average_exact_under_cancellation(c):
+    model = _cancelling_model(c)
+    rng = np.random.default_rng(6)
+    s1, s0 = _smooth_sample(rng, 45), _smooth_sample(rng, 50)
+    got = _product_measure_average(model, s0, s1, "u")(None).values
+    ref = _reference_product(model, s0, s1, "u")
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+
+
+@pytest.mark.parametrize("c", [800, 1500])
+def test_factorized_average_raises_beyond_the_float_range(c):
+    model = _cancelling_model(c)
+    rng = np.random.default_rng(6)
+    s1, s0 = _smooth_sample(rng, 45), _smooth_sample(rng, 50)
+    # the per-pair softmax is still exact here
+    assert np.all(np.isfinite(_reference_product(model, s0, s1, "u")))
+    average = _product_measure_average(model, s0, s1, "u")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericError, match="underflows"):
+            average(None)

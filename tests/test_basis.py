@@ -62,13 +62,13 @@ def test_evaluate_at_matches_grid_centers():
     grid = unit_grid(50)
     basis = build_outcome_basis(UNIT_MEASURE, grid, spline_count=12, degree=3)
     for g in (0, 17, 49):
-        got = basis.evaluate_at(float(grid.centers[g]))
+        got = basis.evaluate_many([float(grid.centers[g])])[0]
         assert np.allclose(got, basis.matrix[g], atol=1e-12)
 
 
 def test_evaluate_at_atom(mixed_measure, mixed_grid):
     basis = build_outcome_basis(mixed_measure, mixed_grid, spline_count=12, degree=3)
-    got = basis.evaluate_at(0.0)
+    got = basis.evaluate_many([0.0])[0]
     assert np.allclose(got, basis.matrix[30], atol=1e-12)
 
 

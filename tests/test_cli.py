@@ -88,6 +88,33 @@ def test_parse_config_rejects_bad_lines():
         parse_config("measure.interval = 0, 1\nuncertainty.alpha = 1.5")
 
 
+def test_parse_config_rejects_an_unknown_key():
+    with pytest.raises(ConfigError, match="unknown key 'uncertainty.draw'"):
+        parse_config(SMALL_CONFIG + "uncertainty.draw = 5\n")
+
+
+@pytest.mark.parametrize("line, key", [
+    ("measure.interval = 10, 9990   # continuous support", "measure.interval"),
+    ("measure.atoms = 0:1, 10000:x", "measure.atoms"),
+    ("grid.bins = 2.5", "grid.bins"),
+    ("uncertainty.alpha = five percent", "uncertainty.alpha"),
+    ("simulate.n = 200, many", "simulate.n"),
+    ("effect.age = smooth(count=six)", "effect.age count"),
+])
+def test_parse_config_names_the_key_of_an_unparseable_number(line, key):
+    with pytest.raises(ConfigError, match=f"^{key}: cannot parse"):
+        parse_config(SMALL_CONFIG + line + "\n")
+
+
+def test_readme_config_example_parses():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(example)
+    assert cfg.measure.continuous_interval == (10.0, 9990.0)
+    assert cfg.weight_column == "weight"
+    assert cfg.marginal_covariates == ["edu", "age"]
+
+
 def test_every_shipped_config_loads():
     paths = sorted(ROOT.glob("configs/*.cfg")) + sorted(ROOT.glob("bench/configs/*.cfg"))
     assert len(paths) >= 5

@@ -20,7 +20,6 @@ from cfdens.counterfactual import (
     marginal_effect_ce_j_fast,
     marginal_effect_de_j,
     mean_functional,
-    scalar_density_effect,
     total_effect,
 )
 from cfdens.density_regression import (
@@ -385,14 +384,6 @@ def test_de_band_spread_covers_truth_at_grid_median():
 
 
 # --------------------------------------------------------------- functionals
-
-def test_scalar_density_effect_tv():
-    grid = unit_grid(30)
-    f1, f0 = beta_on_grid(grid, 2, 2), uniform_density(grid)
-    assert scalar_density_effect(f1, f0) == tv_distance(f1, f0)
-    with pytest.raises(ConfigError):
-        scalar_density_effect(f1, f0, metric="hellinger")
-
 
 def test_mean_functional_beta():
     grid = unit_grid(200)

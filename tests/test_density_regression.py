@@ -315,7 +315,7 @@ def test_fit_hessian_is_the_information_at_the_estimate():
     pooled = bin_and_pool(_table(rng.beta(2, 2, 300), t=t), grid)
     model = fit(pooled, bases, basis)
     bx = density_regression._pooled_matrix(pooled, bases)
-    info = density_regression._score_information(model.theta, pooled, bx, basis.matrix)[1]
+    info = density_regression._information_kernel(pooled, bx, basis.matrix)(model.theta)[1]
     assert np.array_equal(model.fisher_information, info)
 
 

@@ -197,6 +197,21 @@ def test_kde_empty_sample_errors():
         kde_density(np.empty(0), unit_grid(10))
 
 
+def test_kde_single_sample_off_a_bin_centre_errors():
+    # h = 0 takes the 1e-6 floor, whose kernel is 0 at every bin centre
+    with pytest.raises(DataError, match="no kernel mass"):
+        kde_density(np.array([0.503]), unit_grid(50))
+
+
+def test_run_study_excludes_a_kde_replication_with_a_singleton_cell():
+    # at n = 30 replications 0 and 1 have a one-observation cell, 2 an empty one
+    report = run_study(DgpSpec(), n_values=[30], replications=3, seed=0)
+    for target in sim_benchmark.COUNTERFACTUAL_TARGETS + sim_benchmark.CONDITIONAL_TARGETS:
+        kde, bayes = report.lookup("kde", 30, target), report.lookup("bayes", 30, target)
+        assert (kde["used"], kde["excluded"]) == (0, 3)
+        assert (bayes["used"], bayes["excluded"]) == (3, 0)
+
+
 def _kde_unblocked(samples, grid, bandwidth=None):
     """Reference: the kernel sums of every bin centre in one (cells, n) array."""
     samples = np.asarray(samples, dtype=float)
