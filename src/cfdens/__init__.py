@@ -35,7 +35,6 @@ from .density_regression import (
     fit_table,
     multinomial_loglik,
     predict_density,
-    predict_partial,
     sample_theta,
 )
 from .counterfactual import (
@@ -49,7 +48,6 @@ from .counterfactual import (
     marginal_effect_ce_j,
     marginal_effect_ce_j_fast,
     marginal_effect_de_j,
-    mean_functional,
     total_effect,
 )
 from .sim_benchmark import (

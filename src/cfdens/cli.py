@@ -10,11 +10,11 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .basis import build_covariate_basis, build_outcome_basis
+from .basis import build_outcome_basis
 from .config import RunConfig, load_config
 from .counterfactual import CovariateSample, counterfactual_density, effect_bands
 from .dataio import density_curve, load_dataset, ratio_curves, write_curve_table
-from .density_regression import bin_and_pool, fit_smoothed
+from .density_regression import fit_group
 from .errors import ConfigError
 from .measure_grid import GridSpec
 from .sim_benchmark import DgpSpec, run_study
@@ -38,24 +38,13 @@ def _write_manifest(out_dir: Path, config: RunConfig, command: str, seed: int):
 
 
 def _fit_groups(config: RunConfig):
-    treated, control = load_dataset(config.data_path, config)
+    tables = dict(zip(("treated", "control"), load_dataset(config.data_path, config)))
     grid = GridSpec.from_measure(config.measure, config.n_bins)
-    outcome_basis = build_outcome_basis(
-        config.measure, grid, config.basis_count, config.basis_degree
-    )
-    models = {}
-    for label, table in (("treated", treated), ("control", control)):
-        cov_bases = [
-            build_covariate_basis(
-                s, table.covariates[s.covariate_name] if s.kind != "intercept" else [None]
-            )
-            for s in config.effects
-        ]
-        models[label] = fit_smoothed(bin_and_pool(table, grid), cov_bases, outcome_basis)
-    samples = {
-        "treated": CovariateSample.from_table(treated),
-        "control": CovariateSample.from_table(control),
-    }
+    outcome_basis = build_outcome_basis(config.measure, grid, config.basis_count,
+                                        config.basis_degree)
+    models = {label: fit_group(table, config.effects, outcome_basis)
+              for label, table in tables.items()}
+    samples = {label: CovariateSample.from_table(table) for label, table in tables.items()}
     return models, samples, grid
 
 

@@ -101,6 +101,7 @@ def _value(key: str, text: str, kind):
 
 def _parse_kv(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -110,7 +111,9 @@ def _parse_kv(text: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in FIELDS and key not in OTHER_KEYS and not key.startswith("effect."):
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
-        out[key] = value
+        if key in out:
+            raise ConfigError(f"line {lineno}: key '{key}' already set on line {first_line[key]}")
+        out[key], first_line[key] = value, lineno
     return out
 
 

@@ -20,7 +20,7 @@ from .density_regression import (
     sample_theta,
 )
 from .errors import ConfigError, NumericError, StructuralError
-from .measure_grid import GridDensity, GridSpec, integrate
+from .measure_grid import GridDensity, GridSpec
 
 #: denominator density values below this are masked invalid in ratios
 VALIDITY_FLOOR = 1e-12
@@ -338,8 +338,3 @@ def effect_bands(
     draws_0 = sample_theta(model_0, alpha, B, seed=seed * 2 + 2) if B else []
     band_draws = tuple(effect(theta_1, theta_0) for theta_1, theta_0 in zip(draws_1, draws_0))
     return EffectBands(point=point, draws=band_draws)
-
-
-def mean_functional(f: GridDensity) -> float:
-    """Mean of the outcome under the density; atoms contribute location * mass."""
-    return integrate(f.grid.centers * f.values, f.grid)

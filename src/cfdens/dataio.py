@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from operator import itemgetter
 
 import numpy as np
 
@@ -16,59 +17,65 @@ FLOAT_FMT = "%.17g"
 
 
 def load_dataset(path, config: RunConfig) -> tuple[ObservationTable, ObservationTable]:
-    """Read a headered CSV and split rows into (treated, control) tables.
+    """Read a headered CSV and split its rows into (treated, control) tables.
 
-    Outcomes above the configured cap are mapped to the cap atom; missing
-    weight column means unit weights.
+    Blank lines are skipped, and a row whose field count differs from the
+    header's is an error.  Each needed column is parsed once: the outcome,
+    the weight and every smooth covariate as float64, a categorical covariate
+    as strings.  Outcomes above the configured cap are mapped to the cap
+    atom; no weight column means unit weights.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        needed = [config.outcome_column, config.group_column] + [
-            e.covariate_name for e in config.effects if e.kind != "intercept"
-        ]
-        if config.weight_column:
-            needed.append(config.weight_column)
-        missing = [c for c in needed if c not in header]
-        if missing:
-            raise DataError(f"missing columns {missing} in {path}")
-        rows = list(reader)
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    kinds = {e.covariate_name: e.kind for e in config.effects if e.kind != "intercept"}
+    needed = [config.outcome_column, config.group_column, *kinds]
+    if config.weight_column:
+        needed.append(config.weight_column)
+    missing = [c for c in needed if c not in header]
+    if missing:
+        raise DataError(f"missing columns {missing} in {path}")
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    other = np.flatnonzero(lengths != len(header))
+    if len(other):  # header is row 1
+        raise DataError(f"row {other[0] + 2}: {lengths[other[0]]} fields, "
+                        f"the header has {len(header)}")
+    # a header name given twice refers to its last column
+    position = {name: k for k, name in enumerate(header)}
 
-    cov_names = [e.covariate_name for e in config.effects if e.kind != "intercept"]
-    groups = {config.treated_label: [], config.control_label: []}
-    for idx, row in enumerate(rows, start=2):  # header is line 1
-        label = row[config.group_column]
-        if label not in groups:
-            raise DataError(f"row {idx}: unknown group label '{label}'")
+    def column(name, numeric=True):
+        values = list(map(itemgetter(position[name]), rows))
+        if not numeric:
+            return np.array(values, dtype=str)
         try:
-            y = float(row[config.outcome_column])
-        except ValueError as exc:
-            raise DataError(f"row {idx}: unparseable outcome '{row[config.outcome_column]}'") from exc
-        if config.cap is not None and y > config.cap:
-            y = config.cap_atom
-        if config.weight_column:
-            try:
-                w = float(row[config.weight_column])
-            except ValueError as exc:
-                raise DataError(f"row {idx}: unparseable weight") from exc
-        else:
-            w = 1.0
-        groups[label].append((y, {c: row[c] for c in cov_names}, w))
+            return np.fromiter(map(float, values), dtype=float, count=len(values))
+        except ValueError:  # so float fails on one text below, which raises
+            for idx, text in enumerate(values, start=2):
+                try:
+                    float(text)
+                except ValueError:
+                    raise DataError(f"row {idx}: cannot parse '{text}' in column "
+                                    f"'{name}' as a number") from None
 
-    def build(label):
-        rows = groups[label]
-        if not rows:
+    labels = column(config.group_column, numeric=False)
+    treated, control = labels == config.treated_label, labels == config.control_label
+    unknown = np.flatnonzero(~(treated | control))
+    if len(unknown):
+        raise DataError(f"row {unknown[0] + 2}: unknown group label '{labels[unknown[0]]}'")
+    outcomes = column(config.outcome_column)
+    if config.cap is not None:
+        outcomes = np.where(outcomes > config.cap, config.cap_atom, outcomes)
+    weights = column(config.weight_column) if config.weight_column else np.ones(len(rows))
+    columns = {name: column(name, kind == "smooth") for name, kind in kinds.items()}
+
+    def build(label, mask):
+        if not mask.any():
             raise DataError(f"no rows for group '{label}'")
-        return ObservationTable(
-            outcomes=np.array([r[0] for r in rows]),
-            covariates={
-                c: np.array([r[1][c] for r in rows]) for c in cov_names
-            },
-            weights=np.array([r[2] for r in rows]),
-            group=label,
-        )
+        return ObservationTable(outcomes[mask], {n: v[mask] for n, v in columns.items()},
+                                weights[mask], group=label)
 
-    return build(config.treated_label), build(config.control_label)
+    return build(config.treated_label, treated), build(config.control_label, control)
 
 
 def format_curve_table(grid: GridSpec, curves) -> str:
@@ -98,17 +105,15 @@ def write_curve_table(path, grid: GridSpec, curves):
 def read_curve_table(path):
     """Inverse of ``write_curve_table``: {draw_index: (values, valid)} plus points."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
+        rows = list(csv.reader(fh))[1:]  # below the header of ``format_curve_table``
     draws: dict[int, tuple[list, list]] = {}
-    for row in rows:
-        d = int(row["draw_index"])
-        vals, valid = draws.setdefault(d, ([], []))
-        vals.append(float(row["value"]))
-        valid.append(bool(int(row["valid_flag"])))
+    for _, _, value, valid_flag, draw_index in rows:
+        vals, valid = draws.setdefault(int(draw_index), ([], []))
+        vals.append(float(value))
+        valid.append(bool(int(valid_flag)))
     first = min(draws)
     n = len(draws[first][0])
-    points = [float(r["grid_point"]) for r in rows[:n]]
+    points = [float(r[0]) for r in rows[:n]]
     return points, {
         d: (np.array(v), np.array(m, dtype=bool)) for d, (v, m) in draws.items()
     }

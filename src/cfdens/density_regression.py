@@ -11,7 +11,7 @@ run failed.  ``fit`` is the plain maximum likelihood estimate.  ``fit_smoothed``
 is the double-penalty P-spline fit: a second-order difference penalty along
 the outcome direction plus a penalty on its null space, both strengths
 selected inside the same loop by the generalized Fellner--Schall update.  The
-CLI and the Monte Carlo study use ``fit_smoothed``.
+CLI and the Monte Carlo study use ``fit_smoothed`` through ``fit_group``.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import CovariateBasis, OutcomeBasis, covariate_matrix, design_row
+from .basis import CovariateBasis, OutcomeBasis, build_covariate_basis, covariate_matrix, design_row
 from .errors import ConfigError, ConvergenceError, DataError, DomainError, NumericError
-from .measure_grid import ClrFunction, GridDensity, GridSpec, density_from_clr_values
+from .measure_grid import GridDensity, GridSpec, density_from_clr_values
 
 MAX_ITER = 100
 DEVIANCE_RTOL = 1e-8
@@ -73,17 +73,27 @@ class ObservationTable:
 
 @dataclass(frozen=True)
 class PooledHistogram:
-    """Weighted histogram counts per unique covariate combination."""
+    """Weighted histogram counts per distinct covariate combination.
+
+    ``columns`` holds each covariate's value at the first row of each
+    combination, in the order of ``counts``.
+    """
 
     grid: GridSpec
-    combinations: tuple[dict, ...]
+    columns: dict[str, np.ndarray]
     counts: np.ndarray  # (I, n_cells)
     totals: np.ndarray  # (I,) row-weight sums
     n_rows: int = 0  # observations pooled
 
     @property
     def n_combinations(self) -> int:
-        return len(self.combinations)
+        return len(self.counts)
+
+    @property
+    def combinations(self) -> tuple[dict, ...]:
+        """One dict of covariate values per combination, read from ``columns``."""
+        return tuple({n: v[k] for n, v in self.columns.items()}
+                     for k in range(self.n_combinations))
 
 
 def distinct_rows(covariates: dict, names, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -142,7 +152,7 @@ def bin_and_pool(data: ObservationTable, grid: GridSpec) -> PooledHistogram:
                          minlength=len(first) * grid.n_cells).reshape(len(first), grid.n_cells)
     return PooledHistogram(
         grid=grid,
-        combinations=tuple({n: data.covariates[n][i] for n in names} for i in first),
+        columns={n: data.covariates[n][first] for n in names},
         counts=counts,
         totals=counts.sum(axis=1),
         n_rows=len(data),
@@ -179,8 +189,7 @@ class FittedDensityModel:
 
 def _pooled_matrix(pooled: PooledHistogram, covariate_bases) -> np.ndarray:
     """B_x of the fit: one row b(x) per covariate combination of ``pooled``."""
-    columns = {n: np.array([c[n] for c in pooled.combinations]) for n in pooled.combinations[0]}
-    return covariate_matrix(list(covariate_bases), columns, pooled.n_combinations)
+    return covariate_matrix(list(covariate_bases), pooled.columns, pooled.n_combinations)
 
 
 def _eta(bx: np.ndarray, theta: np.ndarray, bt: np.ndarray) -> np.ndarray:
@@ -502,6 +511,25 @@ def fit_smoothed(
                 ((S, u_pen @ u_pen.T), (null, null)), MAX_SELECTION_ITER)
 
 
+def fit_group(table: ObservationTable, effects,
+              outcome_basis: OutcomeBasis) -> FittedDensityModel:
+    """``fit_smoothed`` on ``table`` pooled on the outcome grid, one basis per effect.
+
+    A smooth basis is centred over the table's rows, so it is built from
+    them; a categorical basis only checks its levels, so the pooled column
+    stands in for the rows.
+    """
+    pooled = bin_and_pool(table, outcome_basis.grid)
+    bases = []
+    for spec in effects:
+        name = spec.covariate_name
+        if spec.kind != "intercept" and name not in table.covariates:
+            raise DataError(f"missing covariate '{name}'")
+        source = table.covariates if spec.kind == "smooth" else pooled.columns
+        bases.append(build_covariate_basis(spec, source.get(name, [None])))
+    return fit_smoothed(pooled, bases, outcome_basis)
+
+
 def fit_table(
     data: ObservationTable,
     covariate_bases,
@@ -535,16 +563,6 @@ def predict_densities(
     """
     th = model.theta if theta is None else theta
     return _softmax(_eta(bx, th, model.outcome_basis.matrix), model.grid.widths)
-
-
-def predict_partial(model: FittedDensityModel, j: int, x_j) -> ClrFunction:
-    """clr contribution of effect ``j`` alone at covariate value ``x_j``."""
-    bases = model.covariate_bases
-    if not 0 <= j < len(bases):
-        raise DataError(f"effect index {j} out of range")
-    first = sum(b.n_columns for b in bases[:j])
-    coef = model.theta.reshape(-1, model.outcome_basis.n_columns)[first: first + bases[j].n_columns]
-    return ClrFunction(model.grid, model.outcome_basis.matrix @ (bases[j].evaluate(x_j) @ coef))
 
 
 def sample_theta(

@@ -16,15 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import PartialEffectSpec, build_covariate_basis, build_outcome_basis, covariate_matrix
+from .basis import PartialEffectSpec, build_outcome_basis, covariate_matrix
 from .counterfactual import CovariateSample, counterfactual_density
-from .density_regression import (
-    FittedDensityModel,
-    ObservationTable,
-    bin_and_pool,
-    fit_smoothed,
-    predict_densities,
-)
+from .density_regression import FittedDensityModel, ObservationTable, fit_group, predict_densities
 from .errors import ConfigError, DataError, DomainError
 from .measure_grid import GridDensity, GridSpec, ReferenceMeasure, tv_distance
 
@@ -236,21 +230,16 @@ def fit_bayes_group(data: ObservationTable, grid: GridSpec,
                     spline_count: int = 12, degree: int = 3) -> FittedDensityModel:
     """Fit the benchmark's additive model with the estimator of the CLI.
 
-    An intercept and a dummy per binary covariate, fitted by ``fit_smoothed``:
+    An intercept and a dummy per binary covariate, fitted by ``fit_group``:
     the double-penalty P-spline fit, whose difference penalty along the
     outcome and null-space penalty are both selected from the data.
     """
     measure = ReferenceMeasure(continuous_interval=(0.0, 1.0))
     outcome_basis = build_outcome_basis(measure, grid, spline_count, degree)
-    pooled = bin_and_pool(data, grid)
-    # a categorical basis reads its training values only to check their levels,
-    # so the pooled combinations, one per distinct row, stand in for all rows
-    cov_bases = [build_covariate_basis(PartialEffectSpec.intercept(), [None])] + [
-        build_covariate_basis(PartialEffectSpec.categorical(n, ("1", "2"), "1"),
-                              [c[n] for c in pooled.combinations])
-        for n in COVARIATE_NAMES
+    effects = [PartialEffectSpec.intercept()] + [
+        PartialEffectSpec.categorical(n, ("1", "2"), "1") for n in COVARIATE_NAMES
     ]
-    return fit_smoothed(pooled, cov_bases, outcome_basis)
+    return fit_group(data, effects, outcome_basis)
 
 
 def _bayes_estimates(datas, samples, grid, spline_count, degree):
@@ -276,8 +265,10 @@ def _kde_estimates(datas, samples, grid):
             if key not in kdes:
                 raise DataError(f"empty covariate cell {key} for KDE group {g}")
             cond[(g, c)] = kdes[key]
-        combos, wts = samples[g].unique_rows(sorted(COVARIATE_NAMES))
-        cell_w[g] = {tuple(sorted(c.items())): w for c, w in zip(combos, wts)}
+        names = sorted(COVARIATE_NAMES)
+        first, wts = samples[g].pooled(names)
+        cell_w[g] = {tuple((n, samples[g].covariates[n][i]) for n in names): w
+                     for i, w in zip(first, wts)}
     cf = {}
     for tgt, (k, l) in _KL.items():
         values = np.zeros(grid.n_cells)

@@ -102,8 +102,17 @@ def test_parse_config_rejects_an_unknown_key():
     ("effect.age = smooth(count=six)", "effect.age count"),
 ])
 def test_parse_config_names_the_key_of_an_unparseable_number(line, key):
+    # the line replaces the one that sets the same key
+    name = line.split("=", 1)[0]
+    text = "\n".join(line if old.startswith(name) else old for old in SMALL_CONFIG.split("\n"))
     with pytest.raises(ConfigError, match=f"^{key}: cannot parse"):
-        parse_config(SMALL_CONFIG + line + "\n")
+        parse_config(text)
+
+
+def test_parse_config_rejects_a_duplicate_key():
+    # SMALL_CONFIG opens with an empty line and sets grid.bins on line 6
+    with pytest.raises(ConfigError, match="^line 25: key 'grid.bins' already set on line 6$"):
+        parse_config(SMALL_CONFIG + "grid.bins = 30\n")
 
 
 def test_readme_config_example_parses():
@@ -181,6 +190,61 @@ def test_load_dataset_unparseable_outcome(tmp_path):
     path = _write_csv(tmp_path, "grp,y,g\nE,abc,u\nW,5,u\n")
     with pytest.raises(DataError, match="row 2"):
         load_dataset(path, cfg)
+
+
+MALFORMED_CFG = BASE_CFG + "effect.a = smooth(count=5, degree=2)\ndata.weight_column = w\n"
+TREATED_ROW = {"grp": "E", "y": "10", "g": "u", "a": "30", "w": "1.5"}
+CONTROL_ROW = {"grp": "W", "y": "30", "g": "v", "a": "40", "w": "0.5"}
+
+
+def _csv_text(header, *rows):
+    """The CSV of ``header`` and rows, each a line or a dict laid out in the header's order."""
+    lines = [row if isinstance(row, str) else ",".join(row[n] for n in header.split(","))
+             for row in rows]
+    return "\n".join([header, *lines]) + "\n"
+
+
+@pytest.mark.parametrize("header, row, fields", [
+    ("grp,y,g,a,w", "E,20,v,1.0", 4),  # a covariate short
+    ("grp,g,a,w,y", "E,v,41,1.0", 4),  # no outcome
+    ("grp,g,a,y,w", "E,v,41,20", 4),  # no weight
+    ("grp,y,g,a,w", "E,20,v,41,1.0,7", 6),  # an extra field
+], ids=["short-covariate", "no-outcome", "no-weight", "extra-field"])
+def test_load_dataset_names_a_row_with_another_field_count(tmp_path, header, row, fields):
+    path = _write_csv(tmp_path, _csv_text(header, TREATED_ROW, row, CONTROL_ROW))
+    with pytest.raises(DataError, match=f"^row 3: {fields} fields, the header has 5$"):
+        load_dataset(path, parse_config(MALFORMED_CFG))
+
+
+def test_load_dataset_names_the_row_and_column_of_an_unparseable_smooth_covariate(tmp_path):
+    text = _csv_text("grp,y,g,a,w", TREATED_ROW, {**TREATED_ROW, "a": "n/a"}, CONTROL_ROW)
+    with pytest.raises(DataError, match="^row 3: cannot parse 'n/a' in column 'a' as a number$"):
+        load_dataset(_write_csv(tmp_path, text), parse_config(MALFORMED_CFG))
+
+
+def test_load_dataset_skips_blank_lines(tmp_path):
+    text = _csv_text("grp,y,g,a,w", TREATED_ROW, "", CONTROL_ROW, "")
+    treated, control = load_dataset(_write_csv(tmp_path, text), parse_config(MALFORMED_CFG))
+    assert len(treated) == len(control) == 1
+
+
+def test_load_dataset_matches_a_dict_reader_reference():
+    config = load_config(ROOT / "configs" / "synthetic_mixed.cfg")
+    with open(DATA, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    tables = load_dataset(DATA, config)
+    for table, label in zip(tables, (config.treated_label, config.control_label)):
+        group = [r for r in rows if r["group"] == label]
+        incomes = [float(r["income"]) for r in group]
+        assert table.group == label
+        assert np.array_equal(table.outcomes,
+                              [config.cap_atom if y > config.cap else y for y in incomes])
+        assert np.array_equal(table.weights, [float(r["weight"]) for r in group])
+        assert table.covariates["age"].dtype == np.float64
+        assert np.array_equal(table.covariates["age"], [float(r["age"]) for r in group])
+        assert table.covariates["edu"].dtype.kind == "U"
+        assert table.covariates["edu"].tolist() == [r["edu"] for r in group]
+    assert sum(map(len, tables)) == len(rows)
 
 
 def test_curve_table_round_trip(tmp_path):
@@ -327,6 +391,31 @@ def test_cli_fit_invariant_to_relabeled_levels(bundled_thetas, tmp_path):
     assert np.max(np.abs(theta - bundled_thetas)) <= 1e-8
 
 
+def test_cli_fit_invariant_to_the_spelling_of_a_smooth_covariate(tmp_path):
+    def run(edit_rows=None):
+        with open(DATA, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        out = tmp_path / ("edited" if edit_rows else "bundled")
+        out.mkdir()
+        data = out / "data.csv"
+        with open(data, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(edit_rows(rows) if edit_rows else rows)
+        text = (ROOT / "configs" / "synthetic_mixed.cfg").read_text(encoding="utf-8")
+        cfg = out / "run.cfg"
+        cfg.write_text(text.replace("data.path = data/synthetic_mixed.csv", f"data.path = {data}"),
+                       encoding="utf-8")
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        return [(out / f"model_{label}.txt").read_bytes() for label in ("treated", "control")]
+
+    def respell(rows):
+        # the same numbers written with a leading " " or "+" on alternate rows
+        return [{**r, "age": ("", " ", "", "+")[i % 4] + r["age"]} for i, r in enumerate(rows)]
+
+    assert run(respell) == run()
+
+
 def test_cli_missing_config_fails_cleanly(tmp_path, capsys):
     assert main(["fit", "--config", str(tmp_path / "nope.cfg")]) == 1
     err = capsys.readouterr().err
@@ -359,6 +448,29 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.splitlines() == ["False", "[]", "False", "[]"]
+
+
+def test_commands_leave_numpy_ma_unloaded(tmp_path):
+    text = (ROOT / "configs" / "synthetic_mixed.cfg").read_text(encoding="utf-8")
+    text = text.replace("data.path = data/synthetic_mixed.csv", f"data.path = {DATA}")
+    text = text.replace("uncertainty.draws = 100", "uncertainty.draws = 2")
+    # one replication runs in this process, not in a worker
+    text += "simulate.n = 200\nsimulate.replications = 1\nsimulate.estimators = bayes, kde\n"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    commands = ["fit", "decompose", "marginal", "simulate"]
+    code = (
+        "import sys\n"
+        "from cfdens.cli import main\n"
+        f"for command in {commands!r}:\n"
+        f"    args = [command, '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]\n"
+        "    assert main(args) == 0, command\n"
+        "    print(command, 'numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines() == [f"{command} False" for command in commands]
 
 
 def test_categorical_levels_are_checked_without_numpy_ma():

@@ -19,7 +19,6 @@ from cfdens.counterfactual import (
     marginal_effect_ce_j,
     marginal_effect_ce_j_fast,
     marginal_effect_de_j,
-    mean_functional,
     total_effect,
 )
 from cfdens.density_regression import (
@@ -381,19 +380,3 @@ def test_de_band_spread_covers_truth_at_grid_median():
         if vals and min(vals) <= true_de <= max(vals):
             covered += 1
     assert covered >= 80, f"covered {covered} of 100"
-
-
-# --------------------------------------------------------------- functionals
-
-def test_mean_functional_beta():
-    grid = unit_grid(200)
-    assert mean_functional(beta_on_grid(grid, 2, 1)) == pytest.approx(2.0 / 3.0, abs=1e-4)
-
-
-def test_mean_functional_atoms():
-    from cfdens.measure_grid import GridSpec, ReferenceMeasure
-
-    measure = ReferenceMeasure(atoms=((0.0, 1.0), (10.0, 1.0)))
-    grid = GridSpec.from_measure(measure, 0)
-    f = GridDensity(grid, np.array([0.75, 0.25]))
-    assert mean_functional(f) == pytest.approx(2.5)

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,9 +15,12 @@ from cfdens.basis import (
     PartialEffectSpec,
     build_covariate_basis,
     build_outcome_basis,
+    covariate_row,
 )
 from cfdens import density_regression
+from cfdens.config import load_config
 from cfdens.counterfactual import CovariateSample
+from cfdens.dataio import load_dataset
 from cfdens.density_regression import (
     ObservationTable,
     bayes_loglik,
@@ -24,11 +28,11 @@ from cfdens.density_regression import (
     class_probabilities,
     difference_penalty,
     fit,
+    fit_group,
     fit_smoothed,
     fit_table,
     multinomial_loglik,
     predict_density,
-    predict_partial,
     sample_theta,
     wald_ellipsoid_radius,
 )
@@ -37,6 +41,8 @@ from cfdens.measure_grid import GridDensity, GridSpec, ReferenceMeasure, integra
 from cfdens.sim_benchmark import DgpSpec, fit_bayes_group, simulate
 
 from conftest import UNIT_MEASURE, unit_grid
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _intercept_basis():
@@ -156,6 +162,44 @@ def test_bin_and_pool_matches_per_row_loop(mixed_measure, mixed_grid):
         assert total == pytest.approx(expected.sum(), rel=1e-12)
         np.testing.assert_allclose(permuted_counts, expected, rtol=1e-12)
     assert pooled.counts[:, mixed_grid.n_continuous - 1].sum() > 0
+
+
+def test_pooled_columns_hold_each_combination():
+    config = load_config(ROOT / "configs" / "synthetic_mixed.cfg")
+    treated, _ = load_dataset(ROOT / config.data_path, config)
+    pooled = bin_and_pool(treated, GridSpec.from_measure(config.measure, config.n_bins))
+    assert list(pooled.columns) == ["age", "edu"]
+    for k, combination in enumerate(pooled.combinations):
+        assert combination == {n: column[k] for n, column in pooled.columns.items()}
+    distinct = set(zip(treated.covariates["age"].tolist(), treated.covariates["edu"].tolist()))
+    assert sorted(zip(*(c.tolist() for c in pooled.columns.values()))) == sorted(distinct)
+    bases = [build_covariate_basis(spec, treated.covariates.get(spec.covariate_name, [None]))
+             for spec in config.effects]
+    # one row at a time, the smooth's matrix product may round differently
+    np.testing.assert_allclose(density_regression._pooled_matrix(pooled, bases),
+                               np.stack([covariate_row(bases, c) for c in pooled.combinations]),
+                               rtol=0, atol=1e-14)
+
+
+def test_fit_group_is_fit_smoothed_with_bases_from_the_rows():
+    config = load_config(ROOT / "configs" / "synthetic_mixed.cfg")
+    treated, _ = load_dataset(ROOT / config.data_path, config)
+    grid = GridSpec.from_measure(config.measure, config.n_bins)
+    outcome_basis = build_outcome_basis(config.measure, grid, config.basis_count,
+                                        config.basis_degree)
+    bases = [build_covariate_basis(spec, treated.covariates.get(spec.covariate_name, [None]))
+             for spec in config.effects]
+    reference = fit_smoothed(bin_and_pool(treated, grid), bases, outcome_basis)
+    model = fit_group(treated, config.effects, outcome_basis)
+    assert np.array_equal(model.theta, reference.theta)
+    assert model.covariate_bases[2]._range == reference.covariate_bases[2]._range
+
+
+def test_fit_group_names_a_missing_covariate():
+    basis = build_outcome_basis(UNIT_MEASURE, unit_grid(10), spline_count=5, degree=2)
+    effects = [PartialEffectSpec.intercept(), PartialEffectSpec.smooth("age", 5, 2)]
+    with pytest.raises(DataError, match="missing covariate 'age'"):
+        fit_group(_table([0.2, 0.4], t=["a", "b"]), effects, basis)
 
 
 def _distinct_rows_by_sorting(covariates, names, n_rows):
@@ -506,22 +550,6 @@ def test_property_predicted_density_valid_for_any_theta(theta):
     dens = predict_density(model, {}, theta=np.array(theta))
     assert np.all(dens.values >= 0)
     assert integrate(dens.values, grid) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_predict_partial_sums_to_full_clr():
-    rng = np.random.default_rng(8)
-    grid = unit_grid(20)
-    basis = build_outcome_basis(UNIT_MEASURE, grid, spline_count=8, degree=3)
-    n = 300
-    t = np.where(rng.random(n) < 0.5, "a", "b")
-    outcomes = np.where(t == "a", rng.beta(2, 3, n), rng.beta(3, 2, n))
-    model = fit_table(_table(outcomes, t=t), _binary_bases(t), basis)
-    from cfdens.basis import design_row
-
-    for level in ("a", "b"):
-        eta = design_row(list(model.covariate_bases), basis, {"t": level}) @ model.theta
-        total = predict_partial(model, 0, None).values + predict_partial(model, 1, level).values
-        assert np.allclose(total, eta, atol=1e-10)
 
 
 # -------------------------------------------------- grid-refinement stability
