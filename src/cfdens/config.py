@@ -60,6 +60,10 @@ class RunConfig:
             raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
         if self.draws < 0:
             raise ConfigError("draws must be >= 0")
+        if (self.cap is None) != (self.cap_atom is None):
+            raise ConfigError("measure.cap and measure.cap_atom must be set together")
+        if self.cap_atom is not None and self.cap_atom not in self.measure.atom_locations:
+            raise ConfigError(f"measure.cap_atom = {self.cap_atom:g} is not in measure.atoms")
 
 
 #: key -> (RunConfig field, type of its value) for the keys that set one field;

@@ -46,8 +46,8 @@ class CovariateSample:
         covs = {k: np.asarray(v) for k, v in self.covariates.items()}
         object.__setattr__(self, "covariates", covs)
         weights = np.asarray(self.weights, dtype=float)
-        if np.any(weights <= 0):
-            raise StructuralError("sample weights must be positive")
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise StructuralError("sample weights must be finite and positive")
         object.__setattr__(self, "weights", weights / weights.sum())
         n = len(weights)
         for name, v in covs.items():

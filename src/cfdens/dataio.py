@@ -21,9 +21,9 @@ def load_dataset(path, config: RunConfig) -> tuple[ObservationTable, Observation
 
     Blank lines are skipped, and a row whose field count differs from the
     header's is an error.  Each needed column is parsed once: the outcome,
-    the weight and every smooth covariate as float64, a categorical covariate
-    as strings.  Outcomes above the configured cap are mapped to the cap
-    atom; no weight column means unit weights.
+    the weight and every smooth covariate as finite float64, a categorical
+    covariate as strings.  Outcomes above the cap become the cap atom, and
+    every outcome must lie in a grid cell; no weight column means unit weights.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -49,7 +49,7 @@ def load_dataset(path, config: RunConfig) -> tuple[ObservationTable, Observation
         if not numeric:
             return np.array(values, dtype=str)
         try:
-            return np.fromiter(map(float, values), dtype=float, count=len(values))
+            parsed = np.fromiter(map(float, values), dtype=float, count=len(values))
         except ValueError:  # so float fails on one text below, which raises
             for idx, text in enumerate(values, start=2):
                 try:
@@ -57,6 +57,11 @@ def load_dataset(path, config: RunConfig) -> tuple[ObservationTable, Observation
                 except ValueError:
                     raise DataError(f"row {idx}: cannot parse '{text}' in column "
                                     f"'{name}' as a number") from None
+        bad = np.flatnonzero(~np.isfinite(parsed))
+        if len(bad):
+            raise DataError(f"row {bad[0] + 2}: '{values[bad[0]]}' in column '{name}' "
+                            "is not a finite number")
+        return parsed
 
     labels = column(config.group_column, numeric=False)
     treated, control = labels == config.treated_label, labels == config.control_label
@@ -66,6 +71,10 @@ def load_dataset(path, config: RunConfig) -> tuple[ObservationTable, Observation
     outcomes = column(config.outcome_column)
     if config.cap is not None:
         outcomes = np.where(outcomes > config.cap, config.cap_atom, outcomes)
+    grid = GridSpec.from_measure(config.measure, config.n_bins)
+    outside = np.flatnonzero(grid.cell_indices(outcomes) < 0)
+    if len(outside):
+        raise DataError(f"row {outside[0] + 2}: {grid.domain_error(outcomes[outside[0]])}")
     weights = column(config.weight_column) if config.weight_column else np.ones(len(rows))
     columns = {name: column(name, kind == "smooth") for name, kind in kinds.items()}
 

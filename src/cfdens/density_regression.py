@@ -53,14 +53,11 @@ class ObservationTable:
         for name, v in covs.items():
             if len(v) != n:
                 raise DataError(f"covariate '{name}' has {len(v)} rows, expected {n}")
-        if self.weights is None:
-            weights = np.ones(n)
-        else:
-            weights = np.asarray(self.weights, dtype=float)
+        weights = np.ones(n) if self.weights is None else np.asarray(self.weights, dtype=float)
         if len(weights) != n:
             raise DataError("weights length does not match outcomes")
-        if np.any(weights <= 0):
-            raise DataError("weights must be positive")
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise DataError("weights must be finite and positive")
         object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
@@ -177,7 +174,6 @@ class FittedDensityModel:
     grid: GridSpec
     fisher_information: np.ndarray = field(repr=False)
     deviance_trace: tuple[float, ...] = ()
-    converged: bool = True
     iterations: int = 0
     smoothing_parameter: float = 0.0
     null_space_parameter: float = 0.0
@@ -197,13 +193,18 @@ def _eta(bx: np.ndarray, theta: np.ndarray, bt: np.ndarray) -> np.ndarray:
     return (bx @ theta.reshape(bx.shape[1], -1)) @ bt.T
 
 
-def _softmax(eta: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Densities from each row of ``eta`` by a width-weighted softmax; checks the normaliser."""
-    unnorm = np.exp(eta - eta.max(axis=1, keepdims=True))
-    norm = unnorm @ widths
+def _normalise(eta: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Densities of the rows of ``eta`` (width-weighted softmax) and their log normalisers.
+
+    A normaliser that is not finite and positive raises ``NumericError``.
+    """
+    top = eta.max(axis=1)
+    dens = np.exp(eta - top[:, None])
+    norm = dens @ widths
     if not np.all(np.isfinite(norm) & (norm > 0)):
         raise NumericError("density normaliser is not finite and positive")
-    return unnorm / norm[:, None]
+    dens /= norm[:, None]
+    return dens, top + np.log(norm)
 
 
 def class_probabilities(
@@ -212,7 +213,7 @@ def class_probabilities(
     grid: GridSpec,
 ) -> np.ndarray:
     """Cell probabilities for one combination: width-weighted softmax."""
-    return _softmax((design_block @ theta)[None], grid.widths)[0] * grid.widths
+    return _normalise((design_block @ theta)[None], grid.widths)[0][0] * grid.widths
 
 
 def multinomial_loglik(
@@ -223,17 +224,13 @@ def multinomial_loglik(
 ) -> float:
     """Grid-based (multinomial) log-likelihood, dropping the bin-width constants."""
     bx = _pooled_matrix(pooled, covariate_bases)
-    return _loglik(_eta(bx, theta, outcome_basis.matrix), pooled)
+    return -0.5 * _deviance(_eta(bx, theta, outcome_basis.matrix), pooled)[1]
 
 
-def _loglik(eta: np.ndarray, pooled: PooledHistogram) -> float:
-    lognorm = _log_quadrature_norm(eta, pooled.grid.widths)
-    return float(np.sum(pooled.counts * eta) - np.dot(pooled.totals, lognorm))
-
-
-def _log_quadrature_norm(eta: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    m = eta.max(axis=-1, keepdims=True)
-    return (m + np.log(np.sum(widths * np.exp(eta - m), axis=-1, keepdims=True)))[..., 0]
+def _deviance(eta: np.ndarray, pooled: PooledHistogram) -> tuple[np.ndarray, float]:
+    """The densities of the rows of ``eta`` and the deviance -2 loglik."""
+    dens, lognorm = _normalise(eta, pooled.grid.widths)
+    return dens, -2.0 * float(np.sum(pooled.counts * eta) - np.dot(pooled.totals, lognorm))
 
 
 def bayes_loglik(
@@ -260,10 +257,8 @@ def bayes_loglik(
     eta_y = np.sum(coef * outcome_basis.evaluate_many(data.outcomes), axis=1)
     # rows in blocks, so the rows x quadrature-points array stays small
     step, eval_basis = max(1, (1 << 20) // len(points)), outcome_basis.evaluate_many(points)
-    lognorm = [
-        _log_quadrature_norm(coef[i: i + step] @ eval_basis.T, np.array(widths))
-        for i in range(0, len(data), step)
-    ]
+    lognorm = [_normalise(coef[i: i + step] @ eval_basis.T, np.array(widths))[1]
+               for i in range(0, len(data), step)]
     return float(data.weights @ (eta_y - np.concatenate(lognorm)))
 
 
@@ -282,7 +277,7 @@ def _column_pairs(d: int):
 
 
 def _information_kernel(pooled, bx, bt):
-    """``kernel(theta, eta=None)``: score and profiled Fisher information at ``theta``.
+    """``kernel(theta, dens=None)``: score and profiled Fisher information at ``theta``.
 
     For design rows z_ig = b_i kron B_T[g], totals t and cell probabilities P,
     the score is vec(B_x' (N - t P) B_T) and the information
@@ -297,8 +292,8 @@ def _information_kernel(pooled, bx, bt):
     entry, with no (I, n_cells, R) array.  The pair products and the map from
     entries to pairs depend on B_x and B_T alone and are formed here, once per
     fit; an entry and its transpose read the same product, so the information
-    is exactly symmetric.  ``eta`` is B_x Theta B_T' at ``theta`` when the
-    caller already has it.
+    is exactly symmetric.  ``dens`` is ``_normalise`` of B_x Theta B_T' at
+    ``theta`` when the caller already has it.
     """
     x_first, x_second, x_pair = _column_pairs(bx.shape[1])
     t_first, t_second, t_pair = _column_pairs(bt.shape[1])
@@ -310,10 +305,10 @@ def _information_kernel(pooled, bx, bt):
         n_coef, n_coef)
     widths, counts, totals = pooled.grid.widths, pooled.counts, pooled.totals[:, None]
 
-    def kernel(theta, eta=None):
-        if eta is None:
-            eta = _eta(bx, theta, bt)
-        probs = _softmax(eta, widths) * widths
+    def kernel(theta, dens=None):
+        if dens is None:
+            dens = _normalise(_eta(bx, theta, bt), widths)[0]
+        probs = dens * widths
         expected = totals * probs
         score = (bx.T @ (counts - expected) @ bt).ravel()
         m = probs @ bt
@@ -367,21 +362,17 @@ def _newton(theta0, pooled, bx, bt, penalties=(), max_iter=MAX_ITER):
     ``ConvergenceError`` when ``max_iter`` iterations do not converge.
     """
 
-    def fit_deviance(th):
-        """eta at ``th`` and the unpenalized deviance -2 loglik."""
-        eta = _eta(bx, th, bt)
-        return eta, -2.0 * _loglik(eta, pooled)
-
     kernel = _information_kernel(pooled, bx, bt)
     theta = np.asarray(theta0, dtype=float).copy()
     lams = np.ones(len(penalties))
     total = sum((lam * S for lam, (S, _) in zip(lams, penalties)), np.zeros((len(theta),) * 2))
-    # eta and -2 loglik of the current theta carry over to the next iteration
-    eta, fit_dev = fit_deviance(theta)
+    # each candidate is normalised once: the accepted one's densities and
+    # -2 loglik serve the next iteration's kernel and line search
+    dens, fit_dev = _deviance(_eta(bx, theta, bt), pooled)
     dev = fit_dev + float(theta @ total @ theta)
     trace = [dev]
     for _ in range(max_iter):
-        score, info = kernel(theta, eta)
+        score, info = kernel(theta, dens)
         settled = True
         if penalties:
             quads = np.array([theta @ S @ theta for S, _ in penalties])
@@ -402,22 +393,22 @@ def _newton(theta0, pooled, bx, bt, penalties=(), max_iter=MAX_ITER):
         scale = 1.0
         for _ in range(40):
             cand = theta + scale * step
-            cand_eta, cand_fit = fit_deviance(cand)
+            cand_dens, cand_fit = _deviance(_eta(bx, cand, bt), pooled)
             cand_dev = cand_fit + float(cand @ total @ cand)
             if cand_dev <= dev + 1e-13 * (abs(dev) + 1.0):
                 break
             scale *= 0.5
         else:
-            cand, cand_eta, cand_fit, cand_dev = theta, eta, fit_dev, dev
+            cand, cand_dens, cand_fit, cand_dev = theta, dens, fit_dev, dev
         rel_change = abs(dev - cand_dev) / (abs(dev) + 0.1)
-        theta, eta, fit_dev, dev = cand, cand_eta, cand_fit, cand_dev
+        theta, dens, fit_dev, dev = cand, cand_dens, cand_fit, cand_dev
         trace.append(dev)
         if np.max(np.abs(theta)) > DIVERGENCE_CAP:
             raise NumericError(
                 f"coefficients diverging past {DIVERGENCE_CAP:g} (likely separation)"
             )
         if settled and rel_change < DEVIANCE_RTOL:
-            return theta, trace, lams, kernel(theta, eta)[1] + total
+            return theta, trace, lams, kernel(theta, dens)[1] + total
     raise ConvergenceError(f"did not converge in {max_iter} iterations", trace=trace)
 
 
@@ -562,7 +553,7 @@ def predict_densities(
     row.  A normaliser that is not finite and positive raises ``NumericError``.
     """
     th = model.theta if theta is None else theta
-    return _softmax(_eta(bx, th, model.outcome_basis.matrix), model.grid.widths)
+    return _normalise(_eta(bx, th, model.outcome_basis.matrix), model.grid.widths)[0]
 
 
 def sample_theta(

@@ -55,10 +55,8 @@ class DgpSpec:
     control_beta: np.ndarray = field(default_factory=lambda: CONTROL_BETA.copy())
 
     def __post_init__(self):
-        for name in ("treated_alpha", "treated_beta", "control_alpha", "control_beta"):
-            if np.any(getattr(self, name) <= 0):
-                raise DomainError(f"{name} must be positive")
-        for name in ("treated_probs", "control_probs"):
+        for name in ("treated_alpha", "treated_beta", "control_alpha", "control_beta",
+                     "treated_probs", "control_probs"):
             if np.any(getattr(self, name) <= 0):
                 raise DomainError(f"{name} must be positive")
 
@@ -82,11 +80,7 @@ class DgpSpec:
 
 def cell_covariates(cell: int) -> dict[str, str]:
     """Binary covariates for a cell index, last covariate fastest."""
-    return {
-        "x1": str((cell >> 2 & 1) + 1),
-        "x2": str((cell >> 1 & 1) + 1),
-        "x3": str((cell & 1) + 1),
-    }
+    return {name: str((cell >> (2 - k) & 1) + 1) for k, name in enumerate(COVARIATE_NAMES)}
 
 
 def simulate(spec: DgpSpec, group: int, n: int, seed: int) -> ObservationTable:

@@ -132,7 +132,8 @@ def test_information_kernel_matches_kronecker_blocks(design, block, monkeypatch)
     assert np.max(np.abs(score - ref_score)) <= 1e-12 * np.max(np.abs(ref_score))
     assert np.max(np.abs(info - ref_info)) <= 1e-12 * np.max(np.abs(ref_info))
     assert np.array_equal(info, info.T)
-    with_eta = kernel(theta, density_regression._eta(bx, theta, bt))
+    with_eta = kernel(theta, density_regression._normalise(
+        density_regression._eta(bx, theta, bt), pooled.grid.widths)[0])
     assert np.array_equal(with_eta[0], score) and np.array_equal(with_eta[1], info)
 
 
@@ -149,3 +150,48 @@ def test_fit_smoothed_with_the_reference_kernel_takes_the_same_steps(design, mon
     ref = fit_smoothed(pooled, covariate_bases, outcome_basis)
     assert model.iterations == ref.iterations
     assert np.max(np.abs(model.theta - ref.theta)) <= 1e-10
+
+
+def test_newton_normalises_each_candidate_once(monkeypatch):
+    """One ``_normalise`` per line-search candidate and one at the start.
+
+    Every candidate theta is a new array.  So eta must be formed once per
+    theta and each eta normalised once, in order; the kernel must always be
+    handed densities that were already normalised.
+    """
+    pooled, covariate_bases, outcome_basis = _bundled_design()
+    thetas, etas, normalised, handed = [], [], [], []
+    eta, normalise = density_regression._eta, density_regression._normalise
+    information_kernel = density_regression._information_kernel
+
+    def spy_eta(bx, theta, bt):
+        thetas.append(theta)
+        etas.append(eta(bx, theta, bt))
+        return etas[-1]
+
+    def spy_normalise(values, widths):
+        out = normalise(values, widths)
+        normalised.append((values, out[0]))
+        return out
+
+    def spy_information_kernel(pooled, bx, bt):
+        kernel = information_kernel(pooled, bx, bt)
+
+        def spied(theta, dens=None):
+            handed.append(dens)
+            return kernel(theta, dens)
+
+        return spied
+
+    monkeypatch.setattr(density_regression, "_eta", spy_eta)
+    monkeypatch.setattr(density_regression, "_normalise", spy_normalise)
+    monkeypatch.setattr(density_regression, "_information_kernel", spy_information_kernel)
+    model = fit_smoothed(pooled, covariate_bases, outcome_basis)
+
+    # at least one candidate per iteration, plus the start; none seen twice
+    assert len({id(theta) for theta in thetas}) == len(thetas) >= model.iterations + 1
+    assert len(normalised) == len(etas)
+    assert all(values is e for (values, _), e in zip(normalised, etas))
+    # one kernel call per iteration, plus the final Hessian
+    assert len(handed) == model.iterations + 1
+    assert all(any(dens is d for _, d in normalised) for dens in handed)

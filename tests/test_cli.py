@@ -131,6 +131,20 @@ def test_every_shipped_config_loads():
         load_config(path)
 
 
+@pytest.mark.parametrize("drop", ["measure.cap_atom", "measure.cap "],
+                         ids=["no-cap-atom", "no-cap"])
+def test_parse_config_needs_the_cap_and_its_atom_together(drop):
+    text = "\n".join(line for line in SMALL_CONFIG.split("\n") if not line.startswith(drop))
+    with pytest.raises(ConfigError, match="^measure.cap and measure.cap_atom must be set together$"):
+        parse_config(text)
+
+
+def test_parse_config_rejects_a_cap_atom_that_is_not_an_atom():
+    text = SMALL_CONFIG.replace("measure.cap_atom = 10000", "measure.cap_atom = 5000")
+    with pytest.raises(ConfigError, match="^measure.cap_atom = 5000 is not in measure.atoms$"):
+        parse_config(text)
+
+
 def test_parse_config_rejects_a_nonzero_penalty():
     assert parse_config(SMALL_CONFIG).n_bins == 20  # "penalty = 0" still loads
     with pytest.raises(ConfigError, match="penalty"):
@@ -220,6 +234,28 @@ def test_load_dataset_names_the_row_and_column_of_an_unparseable_smooth_covariat
     text = _csv_text("grp,y,g,a,w", TREATED_ROW, {**TREATED_ROW, "a": "n/a"}, CONTROL_ROW)
     with pytest.raises(DataError, match="^row 3: cannot parse 'n/a' in column 'a' as a number$"):
         load_dataset(_write_csv(tmp_path, text), parse_config(MALFORMED_CFG))
+
+
+@pytest.mark.parametrize("column", ["y", "w", "a"])
+@pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+def test_load_dataset_names_the_row_and_column_of_a_non_finite_number(tmp_path, column, text):
+    rows = (TREATED_ROW, {**TREATED_ROW, column: text}, CONTROL_ROW)
+    with pytest.raises(DataError, match=f"^row 3: '{text}' in column '{column}' is not a "
+                                        "finite number$"):
+        load_dataset(_write_csv(tmp_path, _csv_text("grp,y,g,a,w", *rows)),
+                     parse_config(MALFORMED_CFG))
+
+
+def test_load_dataset_names_the_row_of_an_outcome_outside_the_measure(tmp_path):
+    def load(outcome):
+        rows = (TREATED_ROW, {**TREATED_ROW, "y": outcome}, CONTROL_ROW)
+        return load_dataset(_write_csv(tmp_path, _csv_text("grp,y,g,a,w", *rows)),
+                            parse_config(MALFORMED_CFG))
+
+    with pytest.raises(DataError, match=r"^row 3: outcome -5.0 outside the interval "
+                                        r"\[0.0, 100.0\]$"):
+        load("-5")
+    assert load("0")[0].outcomes[1] == 0.0  # the interval is closed
 
 
 def test_load_dataset_skips_blank_lines(tmp_path):

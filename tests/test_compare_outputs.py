@@ -1,0 +1,43 @@
+"""``scripts/compare_outputs.py``: byte equality per file, and how differing files differ."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("compare_outputs",
+                                               ROOT / "scripts" / "compare_outputs.py")
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+CURVE = ("grid_point,cell_type,value,valid_flag,draw_index\n"
+         "0.25,bin,1.5,1,0\n0.75,bin,0.5,1,0\n")
+
+
+def _write(root, files):
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+def test_identical_directories_exit_zero(tmp_path, capsys):
+    files = {"f11.csv": CURVE, "fit/model_treated.txt": "iterations = 3\ntheta = 1,2\n"}
+    a, b = _write(tmp_path / "a", files), _write(tmp_path / "b", files)
+    assert compare_outputs.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.split("\n")[:2] == ["same     f11.csv",
+                                                       "same     fit/model_treated.txt"]
+
+
+def test_differing_files_report_gap_flags_rows_and_missing_files(tmp_path, capsys):
+    a = _write(tmp_path / "a", {"f11.csv": CURVE, "model.txt": "theta = 1,2\n", "old.csv": ""})
+    b = _write(tmp_path / "b", {
+        "f11.csv": CURVE.replace("1.5,1,0", "1.5000000000000002,0,0") + "1.0,atom,0,1,0\n",
+        "model.txt": "theta = 1,2.5\n",
+    })
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("differs  f11.csv: rows 3/4, max rel gap 1.48e-16, "
+                      "valid_flag changed in 1 rows, 0 text fields differ")
+    assert out[1] == ("differs  model.txt: rows 1/1, max rel gap 0.2, "
+                      "valid_flag changed in 0 rows, 0 text fields differ")
+    assert out[2] == f"only in {a}: old.csv"

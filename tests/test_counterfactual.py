@@ -115,6 +115,12 @@ def test_sample_rejects_nonpositive_weights():
         _sample(["a"], ["a"], [0.0])
 
 
+@pytest.mark.parametrize("weight", [np.nan, np.inf])
+def test_sample_rejects_a_non_finite_weight(weight):
+    with pytest.raises(StructuralError, match="finite and positive"):
+        _sample(["a", "b"], ["a", "a"], [1.0, weight])
+
+
 def test_unique_rows_pools_weights():
     s = _sample(["a", "a", "b"], ["x", "x", "x"], [1.0, 1.0, 2.0])
     combos, wts = s.unique_rows(["u"])
