@@ -7,7 +7,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .basis import build_outcome_basis
@@ -29,7 +28,6 @@ def _write_manifest(out_dir: Path, config: RunConfig, command: str, seed: int):
         f"seed = {seed}",
         f"cfdens_version = {__version__}",
         f"numpy_version = {np.__version__}",
-        f"scipy_version = {scipy.__version__}",
         "--- config ---",
         config.raw_text.rstrip("\n"),
         "",
@@ -67,39 +65,24 @@ def _cmd_fit(config: RunConfig, out_dir: Path, seed: int) -> None:
         (out_dir / f"model_{label}.txt").write_text("\n".join(summary), encoding="utf-8")
 
 
-def _cmd_decompose(config: RunConfig, out_dir: Path, seed: int) -> None:
-    models, samples, grid = _fit_groups(config)
-    pair_models = (models["treated"], models["control"])
-    pair_samples = (samples["treated"], samples["control"])
-    counterfactuals = {
-        "f11": counterfactual_density(models["treated"], samples["treated"]),
-        "f10": counterfactual_density(models["treated"], samples["control"]),
-        "f01": counterfactual_density(models["control"], samples["treated"]),
-        "f00": counterfactual_density(models["control"], samples["control"]),
-    }
-    for name, dens in counterfactuals.items():
-        write_curve_table(out_dir / f"{name}.csv", grid, [density_curve(dens)])
-    for kind in ("de", "ce", "te"):
-        bands = effect_bands(
-            pair_models, pair_samples, kind, config.alpha, config.draws, seed
-        )
-        write_curve_table(out_dir / f"{kind}.csv", grid, ratio_curves(bands))
-
-
-def _cmd_marginal(config: RunConfig, out_dir: Path, seed: int) -> None:
-    if not config.marginal_covariates:
+def _cmd_effects(config: RunConfig, out_dir: Path, seed: int, command: str) -> None:
+    """``decompose`` or ``marginal``: one ``effect_bands`` pass, ``<kind>[_<j>].csv`` per effect."""
+    if command == "decompose":
+        effects, densities = [("de", None), ("ce", None), ("te", None)], {}
+    elif config.marginal_covariates:
+        effects = [(kind, j) for j in config.marginal_covariates for kind in ("ce_j", "de_j")]
+        densities = None
+    else:
         raise ConfigError("marginal command needs marginal.covariates in the config")
     models, samples, grid = _fit_groups(config)
-    pair_models = (models["treated"], models["control"])
-    pair_samples = (samples["treated"], samples["control"])
-    for j_name in config.marginal_covariates:
-        for kind in ("ce_j", "de_j"):
-            bands = effect_bands(
-                pair_models, pair_samples, kind, config.alpha, config.draws, seed,
-                j_name=j_name,
-            )
-            stem = f"{kind.split('_')[0]}_{j_name}"
-            write_curve_table(out_dir / f"{stem}.csv", grid, ratio_curves(bands))
+    bands = effect_bands((models["treated"], models["control"]),
+                         (samples["treated"], samples["control"]),
+                         effects, config.alpha, config.draws, seed, densities)
+    for name, density in (densities or {}).items():
+        write_curve_table(out_dir / f"{name}.csv", grid, [density_curve(density)])
+    for (kind, j_name), band in bands.items():
+        stem = kind if j_name is None else f"{kind[:-2]}_{j_name}"
+        write_curve_table(out_dir / f"{stem}.csv", grid, ratio_curves(band))
 
 
 def _cmd_simulate(config: RunConfig, out_dir: Path, seed: int, full_scale: bool) -> None:
@@ -138,12 +121,10 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "fit":
             _cmd_fit(config, out_dir, seed)
-        elif args.command == "decompose":
-            _cmd_decompose(config, out_dir, seed)
-        elif args.command == "marginal":
-            _cmd_marginal(config, out_dir, seed)
-        else:
+        elif args.command == "simulate":
             _cmd_simulate(config, out_dir, seed, args.full_scale)
+        else:
+            _cmd_effects(config, out_dir, seed, args.command)
         _write_manifest(out_dir, config, args.command, seed)
     except Exception as exc:  # single-line diagnostics, nonzero exit
         print(f"cfdens: error: {exc}", file=sys.stderr)

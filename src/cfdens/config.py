@@ -64,6 +64,12 @@ class RunConfig:
             raise ConfigError("measure.cap and measure.cap_atom must be set together")
         if self.cap_atom is not None and self.cap_atom not in self.measure.atom_locations:
             raise ConfigError(f"measure.cap_atom = {self.cap_atom:g} is not in measure.atoms")
+        names = {e.covariate_name for e in self.effects if e.kind != "intercept"}
+        for i, name in enumerate(self.marginal_covariates):
+            if name in self.marginal_covariates[:i]:
+                raise ConfigError(f"marginal.covariates lists '{name}' twice")
+            if name not in names:
+                raise ConfigError(f"marginal.covariates: no key effect.{name}")
 
 
 #: key -> (RunConfig field, type of its value) for the keys that set one field;

@@ -28,6 +28,20 @@ VALIDITY_FLOOR = 1e-12
 #: (x_{-j} row, x_j value) pairs that the product-measure average evaluates at once
 PAIR_BLOCK = 1 << 15
 
+#: Every average that an effect reads: name -> (model k, group of x_{-j}, group
+#: of x_j), with 1 the treated and 0 the control group.  f_kl averages model k
+#: over the joint covariates of group l (no j); the other two are the
+#: product-measure numerators of CE_j and DE_j, one per covariate j.
+AVERAGES = {
+    "f11": (1, 1, None), "f10": (1, 0, None), "f01": (0, 1, None), "f00": (0, 0, None),
+    "f0(0x1)": (0, 0, 1), "f1(1x0)": (1, 1, 0),
+}
+#: Every effect: kind -> (numerator, denominator), names of ``AVERAGES``
+EFFECTS = {
+    "de": ("f11", "f01"), "ce": ("f01", "f00"), "te": ("f11", "f00"),
+    "ce_j": ("f0(0x1)", "f00"), "de_j": ("f1(1x0)", "f00"),
+}
+
 
 @dataclass(frozen=True)
 class CovariateSample:
@@ -154,13 +168,9 @@ def _counterfactual_average(model: FittedDensityModel, sample: CovariateSample):
     return lambda theta: GridDensity(model.grid, weights @ predict_densities(model, bx, theta))
 
 
-def counterfactual_density(
-    model_k: FittedDensityModel,
-    sample_l: CovariateSample,
-    theta: np.ndarray | None = None,
-) -> GridDensity:
+def counterfactual_density(model_k: FittedDensityModel, sample_l: CovariateSample) -> GridDensity:
     """Average the fitted conditional density over an empirical covariate sample."""
-    return _counterfactual_average(model_k, sample_l)(theta)
+    return _counterfactual_average(model_k, sample_l)(None)
 
 
 def distribution_effect(f11: GridDensity, f01: GridDensity) -> RatioFunction:
@@ -194,8 +204,13 @@ def _product_measure_average(
     rest rows, in blocks of about ``PAIR_BLOCK`` pairs.  Where r and s cancel
     by more than ~700 log units E o F underflows and ``NumericError`` is raised.
     """
-    j_idx = _check_covariate(model, j_name)
     bases = model.covariate_bases
+    names = [cb.spec.covariate_name for cb in bases]
+    if j_name not in names:
+        raise ConfigError(f"model has no covariate '{j_name}'")
+    if any(j_name not in sample.names for sample in (sample_rest, sample_j)):
+        raise ConfigError(f"covariate '{j_name}' missing from a sample")
+    j_idx = names.index(j_name)
     if rest is None:
         rest = [i for i in range(len(bases)) if i != j_idx]
     rest_rows, j_rows = _columns(model, rest), _columns(model, [j_idx])
@@ -231,27 +246,18 @@ def _columns(model: FittedDensityModel, effects) -> np.ndarray:
     return np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in effects])
 
 
-def _check_covariate(model: FittedDensityModel, j_name: str) -> int:
-    for idx, cb in enumerate(model.covariate_bases):
-        if cb.spec.covariate_name == j_name:
-            return idx
-    raise ConfigError(f"model has no covariate '{j_name}'")
-
-
 def marginal_effect_ce_j(
     model_0: FittedDensityModel,
     sample_0: CovariateSample,
     sample_1: CovariateSample,
     j_name: str,
-    theta_0: np.ndarray | None = None,
 ) -> RatioFunction:
-    """Contribution of covariate j to the covariate effect.
+    """Contribution of covariate j to the covariate effect: point ``ce_j`` of ``EFFECTS``.
 
-    Numerator integrates the control model over control x_{-j} and treated
-    x_j (product measure); denominator is the control counterfactual density.
+    It reads only the control model.
     """
-    # ce_j reads only the control model
-    return _effect_function((model_0, model_0), (sample_1, sample_0), "ce_j", j_name)(None, theta_0)
+    evaluate, _ = _decomposition({0: model_0}, {1: sample_1, 0: sample_0}, [("ce_j", j_name)])
+    return evaluate({})[1]["ce_j", j_name]
 
 
 def marginal_effect_de_j(
@@ -260,16 +266,11 @@ def marginal_effect_de_j(
     sample_1: CovariateSample,
     sample_0: CovariateSample,
     j_name: str,
-    theta_1: np.ndarray | None = None,
-    theta_0: np.ndarray | None = None,
 ) -> RatioFunction:
-    """Contribution of covariate j to the distribution effect.
-
-    Numerator integrates the treated model over treated x_{-j} and control
-    x_j; denominator is the control counterfactual density.
-    """
-    effect = _effect_function((model_1, model_0), (sample_1, sample_0), "de_j", j_name)
-    return effect(theta_1, theta_0)
+    """Contribution of covariate j to the distribution effect: point ``de_j`` of ``EFFECTS``."""
+    evaluate, _ = _decomposition({1: model_1, 0: model_0}, {1: sample_1, 0: sample_0},
+                                 [("de_j", j_name)])
+    return evaluate({})[1]["de_j", j_name]
 
 
 def marginal_effect_ce_j_fast(
@@ -290,51 +291,60 @@ def marginal_effect_ce_j_fast(
                     for sample in (sample_1, sample_0)))
 
 
-EFFECT_KINDS = ("de", "ce", "te", "ce_j", "de_j")
+def _decomposition(models, samples, effects, joint=False):
+    """Set up once each average that ``effects`` read, and with ``joint`` every f_kl.
 
-
-def _effect_function(models, samples, kind, j_name=None):
-    """(theta_1, theta_0) -> the ratio curve of one effect.
-
-    Every (model, sample) average the effect needs is set up once, so the
-    point estimate and each band draw cost one eta = B_x Theta B_T' per
-    average.
+    ``models`` and ``samples`` map group 1 (treated) and 0 (control) to theirs,
+    ``effects`` lists (kind, covariate name) pairs, and an average's key is
+    (name, j), j None for an f_kl.  Returns ``evaluate(thetas, keys)``, which
+    from each group's coefficients (a group left out: the fit) gives the
+    density of each average of ``keys`` (default: all) and each effect, and the
+    keys that the effects read.
     """
-    if kind not in EFFECT_KINDS:
-        raise ConfigError(f"unknown effect kind '{kind}'")
-    # index into (treated, control) of the numerator's model and coefficients
-    num = 1 if kind in ("ce", "ce_j") else 0
-    if kind in ("ce_j", "de_j"):
-        if j_name is None:
-            raise ConfigError("marginal effects need a covariate name")
-        _check_covariate(models[1], j_name)
-        if any(j_name not in sample.names for sample in samples):
-            raise ConfigError(f"covariate '{j_name}' missing from a sample")
-        numerator = _product_measure_average(models[num], samples[num], samples[1 - num], j_name)
-    else:
-        numerator = _counterfactual_average(models[num], samples[0])
-    denominator = _counterfactual_average(models[1], samples[0 if kind == "de" else 1])
-    return lambda *thetas: _ratio(numerator(thetas[num]), denominator(thetas[1]))
+    ratios = {}
+    for kind, j_name in effects:
+        if kind not in EFFECTS:
+            raise ConfigError(f"unknown effect kind '{kind}'")
+        ratios[kind, j_name] = [(name, None if AVERAGES[name][2] is None else j_name)
+                                for name in EFFECTS[kind]]
+    read = list(dict.fromkeys(key for pair in ratios.values() for key in pair))
+    joint_keys = [(name, None) for name, (_, _, m) in AVERAGES.items() if joint and m is None]
+    averages = {}
+    for name, j_name in dict.fromkeys(read + joint_keys):
+        k, rest, m = AVERAGES[name]
+        averages[name, j_name] = (
+            _counterfactual_average(models[k], samples[rest]) if m is None
+            else _product_measure_average(models[k], samples[rest], samples[m], j_name))
+
+    def evaluate(thetas, keys=averages):
+        curves = {key: averages[key](thetas.get(AVERAGES[key[0]][0])) for key in keys}
+        return curves, {effect: _ratio(curves[num], curves[den])
+                        for effect, (num, den) in ratios.items()}
+
+    return evaluate, read
 
 
-def effect_bands(
-    models: tuple[FittedDensityModel, FittedDensityModel],
-    samples: tuple[CovariateSample, CovariateSample],
-    kind: str,
-    alpha: float,
-    B: int,
-    seed: int,
-    j_name: str | None = None,
-) -> EffectBands:
-    """Point estimate plus B ratio curves from Wald-region coefficient draws.
+def effect_bands(models: tuple[FittedDensityModel, FittedDensityModel],
+                 samples: tuple[CovariateSample, CovariateSample],
+                 effects, alpha: float, B: int, seed: int, densities: dict | None = None) -> dict:
+    """Point estimate plus B ratio curves of each effect, all from one set of draws.
 
-    Coefficients are redrawn independently per group (derived seeds), the
-    counterfactual densities rebuilt, and the ratio recomputed per draw.
+    ``models`` and ``samples`` are (treated, control), and ``effects`` lists
+    (kind, covariate name) pairs of ``EFFECTS``, such as ``("de", None)`` or
+    ``("ce_j", "edu")``; the result maps each pair to its ``EffectBands``.
+    Each group's coefficients are drawn once from its Wald region (seeds
+    ``seed*2+1`` treated, ``seed*2+2`` control).  Each average that the
+    effects read is set up once and evaluated once at the point estimate and
+    per draw, and each effect is a ratio of those curves, so DE * CE = TE holds
+    on every draw.  A ``densities`` dict receives the point f_kl by name.
     """
-    effect = _effect_function(models, samples, kind, j_name)
-    model_1, model_0 = models
-    point = effect(None, None)
-    draws_1 = sample_theta(model_1, alpha, B, seed=seed * 2 + 1) if B else []
-    draws_0 = sample_theta(model_0, alpha, B, seed=seed * 2 + 2) if B else []
-    band_draws = tuple(effect(theta_1, theta_0) for theta_1, theta_0 in zip(draws_1, draws_0))
-    return EffectBands(point=point, draws=band_draws)
+    models, samples = dict(zip((1, 0), models)), dict(zip((1, 0), samples))
+    evaluate, read = _decomposition(models, samples, effects, joint=densities is not None)
+    curves, point = evaluate({})
+    if densities is not None:
+        densities.update((name, curve) for (name, j), curve in curves.items() if j is None)
+    thetas = zip(sample_theta(models[1], alpha, B, seed=seed * 2 + 1),
+                 sample_theta(models[0], alpha, B, seed=seed * 2 + 2))
+    draws = [evaluate({1: theta_1, 0: theta_0}, read)[1] for theta_1, theta_0 in thetas]
+    return {effect: EffectBands(point=ratio, draws=tuple(d[effect] for d in draws))
+            for effect, ratio in point.items()}

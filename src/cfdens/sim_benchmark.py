@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import PartialEffectSpec, build_outcome_basis, covariate_matrix
-from .counterfactual import CovariateSample, counterfactual_density
+from .counterfactual import AVERAGES, CovariateSample, counterfactual_density
 from .density_regression import FittedDensityModel, ObservationTable, fit_group, predict_densities
 from .errors import ConfigError, DataError, DomainError
 from .measure_grid import GridDensity, GridSpec, ReferenceMeasure, tv_distance
@@ -188,7 +188,6 @@ def kde_conditional(data: ObservationTable, grid: GridSpec) -> dict[tuple, GridD
 
 COUNTERFACTUAL_TARGETS = ("f11", "f10", "f01", "f00")
 CONDITIONAL_TARGETS = ("cond1", "cond0")
-_KL = {"f11": (1, 1), "f10": (1, 0), "f01": (0, 1), "f00": (0, 0)}
 
 
 @dataclass(frozen=True)
@@ -239,7 +238,8 @@ def fit_bayes_group(data: ObservationTable, grid: GridSpec,
 def _bayes_estimates(datas, samples, grid, spline_count, degree):
     """Counterfactual and per-cell conditional densities of the fitted models."""
     models = {g: fit_bayes_group(datas[g], grid, spline_count, degree) for g in (1, 0)}
-    cf = {tgt: counterfactual_density(models[k], samples[l]) for tgt, (k, l) in _KL.items()}
+    cf = {tgt: counterfactual_density(models[AVERAGES[tgt][0]], samples[AVERAGES[tgt][1]])
+          for tgt in COUNTERFACTUAL_TARGETS}
     cells = {n: np.array([cell_covariates(c)[n] for c in range(8)]) for n in COVARIATE_NAMES}
     cond = {}
     for g in (1, 0):
@@ -264,7 +264,8 @@ def _kde_estimates(datas, samples, grid):
         cell_w[g] = {tuple((n, samples[g].covariates[n][i]) for n in names): w
                      for i, w in zip(first, wts)}
     cf = {}
-    for tgt, (k, l) in _KL.items():
+    for tgt in COUNTERFACTUAL_TARGETS:
+        k, l, _ = AVERAGES[tgt]
         values = np.zeros(grid.n_cells)
         for c, key in enumerate(keys):
             values += cell_w[l].get(key, 0.0) * cond[(k, c)].values
@@ -346,7 +347,8 @@ def run_study(
         raise DomainError("replications must be >= 1")
     measure = ReferenceMeasure(continuous_interval=(0.0, 1.0))
     grid = GridSpec.from_measure(measure, n_bins)
-    truths_cf = {tgt: true_counterfactual(spec, k, l, grid) for tgt, (k, l) in _KL.items()}
+    truths_cf = {tgt: true_counterfactual(spec, *AVERAGES[tgt][:2], grid)
+                 for tgt in COUNTERFACTUAL_TARGETS}
     truths_cond = {
         (g, c): true_conditional(spec, g, c, grid) for g in (1, 0) for c in range(8)
     }

@@ -127,8 +127,8 @@ def test_counterfactuals_match_per_row_reference(bundled):
 def test_effect_bands_match_per_row_reference(bundled, kind, j_name):
     (model_1, model_0), (sample_1, sample_0), grid = bundled
     B, seed = 3, 5
-    bands = effect_bands((model_1, model_0), (sample_1, sample_0), kind, 0.05, B, seed,
-                         j_name=j_name)
+    bands = effect_bands((model_1, model_0), (sample_1, sample_0), [(kind, j_name)], 0.05, B,
+                         seed)[(kind, j_name)]
     # effect_bands draws each group's coefficients with these derived seeds
     thetas = [(None, None)] + list(zip(
         sample_theta(model_1, 0.05, B, seed=seed * 2 + 1),

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cfdens import counterfactual
 from cfdens.cli import _fit_groups, main
 from cfdens.config import load_config, parse_config
 from cfdens.dataio import (
@@ -142,6 +143,19 @@ def test_parse_config_needs_the_cap_and_its_atom_together(drop):
 def test_parse_config_rejects_a_cap_atom_that_is_not_an_atom():
     text = SMALL_CONFIG.replace("measure.cap_atom = 10000", "measure.cap_atom = 5000")
     with pytest.raises(ConfigError, match="^measure.cap_atom = 5000 is not in measure.atoms$"):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("names, message", [
+    ("edu, edu", "^marginal.covariates lists 'edu' twice$"),
+    ("age, edu, age", "^marginal.covariates lists 'age' twice$"),
+    ("wage", "^marginal.covariates: no key effect.wage$"),
+    ("edu, (intercept)", r"^marginal.covariates: no key effect.\(intercept\)$"),
+], ids=["twice", "twice-apart", "no-effect", "intercept"])
+def test_parse_config_rejects_a_marginal_covariate_that_is_repeated_or_not_an_effect(
+        names, message):
+    text = SMALL_CONFIG.replace("marginal.covariates = edu", f"marginal.covariates = {names}")
+    with pytest.raises(ConfigError, match=message):
         parse_config(text)
 
 
@@ -359,6 +373,40 @@ def test_cli_marginal_outputs(config_file, tmp_path):
     assert sorted(draws) == [0, 1, 2, 3]
 
 
+def _spy(monkeypatch, module, name):
+    """Record the arguments of every call to ``module.name``."""
+    calls, original = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("command, set_ups", [("decompose", 4), ("marginal", 9)])
+def test_a_command_draws_once_per_group_and_sets_up_each_average_once(
+        monkeypatch, tmp_path, command, set_ups):
+    # decompose: f11, f10, f01, f00; marginal: f00 and, for each of edu and age,
+    # the x_{-j} and x_j sides of the two product-measure numerators
+    text = (ROOT / "configs" / "synthetic_mixed.cfg").read_text(encoding="utf-8")
+    text = text.replace("data.path = data/synthetic_mixed.csv", f"data.path = {DATA}")
+    text = text.replace("uncertainty.draws = 100", "uncertainty.draws = 3")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    draws = _spy(monkeypatch, counterfactual, "sample_theta")
+    matrices = _spy(monkeypatch, counterfactual, "covariate_matrix")
+    seed = 7
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--seed", str(seed)]) == 0
+    assert sorted(kwargs["seed"] for _, kwargs in draws) == [seed * 2 + 1, seed * 2 + 2]
+    assert len({id(args[0]) for args, _ in draws}) == 2
+    keys = [(tuple(map(id, bases)), tuple((n, c.tobytes()) for n, c in sorted(columns.items())))
+            for (bases, columns, _), _ in matrices]
+    assert len(keys) == set_ups and len(set(keys)) == set_ups
+
+
 def test_cli_simulate_outputs_and_determinism(config_file, tmp_path):
     out1, out2 = tmp_path / "sim1", tmp_path / "sim2"
     assert main(["simulate", "--config", str(config_file), "--out", str(out1)]) == 0
@@ -466,6 +514,7 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     code = (
         "import sys, numpy as np, cfdens.cli\n"
         f"submodules = {submodules!r}\n"
+        "print('scipy' in sys.modules)\n"
         "print('scipy.stats' in sys.modules)\n"
         "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
         "from cfdens import (DgpSpec, GridSpec, ObservationTable, PartialEffectSpec,\n"
@@ -483,7 +532,7 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.splitlines() == ["False", "[]", "False", "[]"]
+    assert out.stdout.splitlines() == ["False", "False", "[]", "False", "[]"]
 
 
 def test_commands_leave_numpy_ma_unloaded(tmp_path):

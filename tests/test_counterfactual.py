@@ -333,7 +333,7 @@ def _band_inputs():
 
 def test_effect_bands_counts_and_grids():
     models, samples, grid = _band_inputs()
-    bands = effect_bands(models, samples, "de", alpha=0.05, B=7, seed=4)
+    bands = effect_bands(models, samples, [("de", None)], alpha=0.05, B=7, seed=4)[("de", None)]
     assert len(bands.draws) == 7
     assert all(d.grid.same_as(grid) for d in bands.draws)
     assert bands.point.grid.same_as(grid)
@@ -341,29 +341,44 @@ def test_effect_bands_counts_and_grids():
 
 def test_effect_bands_deterministic():
     models, samples, grid = _band_inputs()
-    b1 = effect_bands(models, samples, "te", alpha=0.05, B=3, seed=9)
-    b2 = effect_bands(models, samples, "te", alpha=0.05, B=3, seed=9)
+    b1 = effect_bands(models, samples, [("te", None)], alpha=0.05, B=3, seed=9)[("te", None)]
+    b2 = effect_bands(models, samples, [("te", None)], alpha=0.05, B=3, seed=9)[("te", None)]
     for d1, d2 in zip(b1.draws, b2.draws):
         assert np.array_equal(d1.values, d2.values, equal_nan=True)
 
 
 def test_effect_bands_degenerate_alpha_pins_to_point():
     models, samples, grid = _band_inputs()
-    bands = effect_bands(models, samples, "ce", alpha=1.0 - 1e-9, B=3, seed=2)
+    ce = ("ce", None)
+    bands = effect_bands(models, samples, [ce], alpha=1.0 - 1e-9, B=3, seed=2)[ce]
     for d in bands.draws:
         assert np.allclose(d.values[d.valid], bands.point.values[bands.point.valid])
+
+
+def test_de_times_ce_is_te_on_every_band_draw():
+    # each draw's three ratios come from the same f11, f01 and f00 curves
+    models, samples, grid = _band_inputs()
+    effects = [("de", None), ("ce", None), ("te", None)]
+    bands = effect_bands(models, samples, effects, alpha=0.05, B=6, seed=3)
+    de, ce, te = (bands[effect] for effect in effects)
+    assert len(te.draws) == 6
+    for d, c, t in zip((de.point, *de.draws), (ce.point, *ce.draws), (te.point, *te.draws)):
+        valid = d.valid & c.valid & t.valid
+        assert valid.sum() > grid.n_cells // 2
+        product = d.values[valid] * c.values[valid]
+        assert np.all(np.abs(product - t.values[valid]) <= 1e-12 * t.values[valid])
 
 
 def test_effect_bands_marginal_requires_name():
     models, samples, grid = _band_inputs()
     with pytest.raises(ConfigError):
-        effect_bands(models, samples, "ce_j", alpha=0.05, B=1, seed=1)
+        effect_bands(models, samples, [("ce_j", None)], alpha=0.05, B=1, seed=1)
 
 
 def test_effect_bands_unknown_kind():
     models, samples, grid = _band_inputs()
     with pytest.raises(ConfigError):
-        effect_bands(models, samples, "nope", alpha=0.05, B=1, seed=1)
+        effect_bands(models, samples, [("nope", None)], alpha=0.05, B=1, seed=1)
 
 
 def test_de_band_spread_covers_truth_at_grid_median():
@@ -381,7 +396,8 @@ def test_de_band_spread_covers_truth_at_grid_median():
         data0 = simulate(spec, 0, 5000, seed=800_000 + rep)
         models = (fit_bayes_group(data1, grid), fit_bayes_group(data0, grid))
         samples = (CovariateSample.from_table(data1), CovariateSample.from_table(data0))
-        bands = effect_bands(models, samples, "de", alpha=0.05, B=100, seed=rep)
+        de = ("de", None)
+        bands = effect_bands(models, samples, [de], alpha=0.05, B=100, seed=rep)[de]
         vals = [d.values[mid] for d in bands.draws if d.valid[mid]]
         if vals and min(vals) <= true_de <= max(vals):
             covered += 1

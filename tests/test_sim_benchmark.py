@@ -376,8 +376,8 @@ def _count_distinct_rows(monkeypatch, path):
 def test_a_replication_pools_each_group_once(monkeypatch, tmp_path):
     recorded = _count_distinct_rows(monkeypatch, tmp_path / "calls")
     spec, grid = DgpSpec(), unit_grid(50)
-    truths_cf = {tgt: true_counterfactual(spec, k, l, grid)
-                 for tgt, (k, l) in sim_benchmark._KL.items()}
+    truths_cf = {tgt: true_counterfactual(spec, *counterfactual.AVERAGES[tgt][:2], grid)
+                 for tgt in sim_benchmark.COUNTERFACTUAL_TARGETS}
     truths_cond = {(g, c): true_conditional(spec, g, c, grid) for g in (1, 0) for c in range(8)}
     scores = sim_benchmark._replication_scores(spec, 1000, 3, grid, ("bayes", "kde"),
                                                truths_cf, truths_cond, 12, 3)
