@@ -93,9 +93,10 @@ def _bspline_design(x: np.ndarray, lo: float, hi: float, count: int, degree: int
 class OutcomeBasis:
     """Centered basis over the outcome grid, evaluable at arbitrary points.
 
-    ``matrix`` holds the kept columns at the grid cells (n_cells x d_T).
-    ``centering`` holds the measure-means subtracted from the raw columns so
-    the basis can be evaluated off-grid consistently.
+    ``matrix`` holds the centered columns at the grid cells (n_cells x d_T),
+    all raw columns but the last.  ``centering`` holds the measure-means
+    subtracted from the raw columns so the basis can be evaluated off-grid
+    consistently.
     """
 
     grid: GridSpec
@@ -104,14 +105,13 @@ class OutcomeBasis:
     spline_count: int
     degree: int
     interval: tuple[float, float] | None
-    kept: tuple[int, ...]
 
     @property
     def n_columns(self) -> int:
         return self.matrix.shape[1]
 
     def evaluate_many(self, ys) -> np.ndarray:
-        """Centered kept columns (len(ys) x n_columns), one row per outcome value."""
+        """Centered columns (len(ys) x n_columns), one row per outcome value."""
         ys = np.asarray(ys, dtype=float)
         atoms = ys[:, None] == np.array(self.grid.atom_locations, dtype=float)
         on_atom = atoms.any(axis=1)
@@ -123,7 +123,8 @@ class OutcomeBasis:
             lo, hi = self.interval
             spl = _bspline_design(ys, lo, hi, self.spline_count, self.degree)
             raw = np.hstack([np.where(on_atom[:, None], 0.0, spl), atoms])
-        return (raw - self.centering)[:, list(self.kept)]
+        # column-major like ``matrix``
+        return np.asfortranarray(raw[:, :-1] - self.centering[:-1])
 
 
 def build_outcome_basis(
@@ -158,10 +159,10 @@ def build_outcome_basis(
     raw = np.hstack(cols)
     mu_total = grid.total_measure
     centering = np.array([integrate(raw[:, m], grid) for m in range(raw.shape[1])]) / mu_total
-    centered = raw - centering
-    kept = tuple(range(raw.shape[1] - 1))
-    matrix = centered[:, list(kept)]
-    expected = len(kept)
+    # column-major: BLAS products round by the layout, and the reference
+    # outputs were made with this one
+    matrix = np.asfortranarray(raw[:, :-1] - centering[:-1])
+    expected = matrix.shape[1]
     if expected and np.linalg.matrix_rank(matrix) != expected:
         raise NumericError(
             f"outcome basis rank-deficient: rank {np.linalg.matrix_rank(matrix)} "
@@ -174,7 +175,6 @@ def build_outcome_basis(
         spline_count=spline_count if has_cont else 0,
         degree=degree,
         interval=measure.continuous_interval,
-        kept=kept,
     )
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from .basis import PartialEffectSpec
 from .errors import ConfigError
 from .measure_grid import ReferenceMeasure
+from .sim_benchmark import ESTIMATORS
 
 
 @dataclass
@@ -52,7 +53,7 @@ class RunConfig:
     marginal_covariates: list[str] = field(default_factory=list)
     sim_n: list[int] = field(default_factory=lambda: [500, 1000, 5000])
     sim_replications: int = 200
-    sim_estimators: list[str] = field(default_factory=lambda: ["bayes", "kde"])
+    sim_estimators: list[str] = field(default_factory=lambda: list(ESTIMATORS))
     raw_text: str = ""
 
     def __post_init__(self):
@@ -64,12 +65,23 @@ class RunConfig:
             raise ConfigError("measure.cap and measure.cap_atom must be set together")
         if self.cap_atom is not None and self.cap_atom not in self.measure.atom_locations:
             raise ConfigError(f"measure.cap_atom = {self.cap_atom:g} is not in measure.atoms")
+        if self.treated_label and self.treated_label == self.control_label:
+            raise ConfigError("data.treated_label and data.control_label are both "
+                              f"'{self.treated_label}'")
         names = {e.covariate_name for e in self.effects if e.kind != "intercept"}
-        for i, name in enumerate(self.marginal_covariates):
-            if name in self.marginal_covariates[:i]:
-                raise ConfigError(f"marginal.covariates lists '{name}' twice")
-            if name not in names:
-                raise ConfigError(f"marginal.covariates: no key effect.{name}")
+        # key, its list, the test each item passes, and the error of an item that fails
+        for key, items, valid, error in (
+            ("marginal.covariates", self.marginal_covariates, lambda x: x in names,
+             "no key effect.{}"),
+            ("simulate.estimators", self.sim_estimators, lambda x: x in ESTIMATORS,
+             "unknown estimator '{}' (one of " + ", ".join(ESTIMATORS) + ")"),
+            ("simulate.n", self.sim_n, lambda n: n > 0, "{} is not positive"),
+        ):
+            for i, item in enumerate(items):
+                if item in items[:i]:
+                    raise ConfigError(f"{key} lists {item!r} twice")
+                if not valid(item):
+                    raise ConfigError(f"{key}: " + error.format(item))
 
 
 #: key -> (RunConfig field, type of its value) for the keys that set one field;

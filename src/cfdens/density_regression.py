@@ -469,10 +469,10 @@ def difference_penalty(covariate_bases, outcome_basis: OutcomeBasis) -> np.ndarr
     """
     n_splines = outcome_basis.spline_count
     raw = np.diff(np.eye(n_splines), n=2, axis=0)
+    # the basis keeps every raw column but the last, and the splines come first
+    kept = min(n_splines, outcome_basis.n_columns)
     diff = np.zeros((len(raw), outcome_basis.n_columns))
-    for col, k in enumerate(outcome_basis.kept):
-        if k < n_splines:
-            diff[:, col] = raw[:, k]
+    diff[:, :kept] = raw[:, :kept]
     d_x = sum(cb.n_columns for cb in covariate_bases)
     return np.kron(np.eye(d_x), diff.T @ diff)
 

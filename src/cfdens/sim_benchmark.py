@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import PartialEffectSpec, build_outcome_basis, covariate_matrix
-from .counterfactual import AVERAGES, CovariateSample, counterfactual_density
+from .counterfactual import AVERAGES
 from .density_regression import FittedDensityModel, ObservationTable, fit_group, predict_densities
 from .errors import ConfigError, DataError, DomainError
 from .measure_grid import GridDensity, GridSpec, ReferenceMeasure, tv_distance
@@ -186,6 +186,8 @@ def kde_conditional(data: ObservationTable, grid: GridSpec) -> dict[tuple, GridD
     return out
 
 
+#: the study's estimators: the fitted density regression and the per-cell KDE
+ESTIMATORS = ("bayes", "kde")
 COUNTERFACTUAL_TARGETS = ("f11", "f10", "f01", "f00")
 CONDITIONAL_TARGETS = ("cond1", "cond0")
 
@@ -235,64 +237,55 @@ def fit_bayes_group(data: ObservationTable, grid: GridSpec,
     return fit_group(data, effects, outcome_basis)
 
 
-def _bayes_estimates(datas, samples, grid, spline_count, degree):
-    """Counterfactual and per-cell conditional densities of the fitted models."""
-    models = {g: fit_bayes_group(datas[g], grid, spline_count, degree) for g in (1, 0)}
-    cf = {tgt: counterfactual_density(models[AVERAGES[tgt][0]], samples[AVERAGES[tgt][1]])
-          for tgt in COUNTERFACTUAL_TARGETS}
-    cells = {n: np.array([cell_covariates(c)[n] for c in range(8)]) for n in COVARIATE_NAMES}
-    cond = {}
-    for g in (1, 0):
-        bx = covariate_matrix(list(models[g].covariate_bases), cells, 8)
-        for c, values in enumerate(predict_densities(models[g], bx)):
-            cond[(g, c)] = GridDensity(grid, values)
-    return cf, cond
+def _cell_densities(est, data, grid, spline_count, degree) -> np.ndarray:
+    """One group's eight cell conditionals under estimator ``est`` (8 x n_cells, cell order)."""
+    if est == "bayes":
+        model = fit_bayes_group(data, grid, spline_count, degree)
+        cells = {n: np.array([cell_covariates(c)[n] for c in range(8)]) for n in COVARIATE_NAMES}
+        return predict_densities(model, covariate_matrix(list(model.covariate_bases), cells, 8))
+    if est == "kde":
+        # kde_conditional's keys come in cell order when no cell is empty
+        kdes = kde_conditional(data, grid)
+        if len(kdes) < 8:
+            raise DataError(f"empty covariate cell for KDE group {data.group}")
+        return np.array([d.values for d in kdes.values()])
+    raise ConfigError(f"unknown estimator '{est}'")
 
 
-def _kde_estimates(datas, samples, grid):
-    """Counterfactual and per-cell conditional densities of the per-cell KDE."""
-    keys = [tuple(sorted(cell_covariates(c).items())) for c in range(8)]
-    cond, cell_w = {}, {}
-    for g in (1, 0):
-        kdes = kde_conditional(datas[g], grid)
-        for c, key in enumerate(keys):
-            if key not in kdes:
-                raise DataError(f"empty covariate cell {key} for KDE group {g}")
-            cond[(g, c)] = kdes[key]
-        names = sorted(COVARIATE_NAMES)
-        first, wts = samples[g].pooled(names)
-        cell_w[g] = {tuple((n, samples[g].covariates[n][i]) for n in names): w
-                     for i, w in zip(first, wts)}
-    cf = {}
-    for tgt in COUNTERFACTUAL_TARGETS:
-        k, l, _ = AVERAGES[tgt]
-        values = np.zeros(grid.n_cells)
-        for c, key in enumerate(keys):
-            values += cell_w[l].get(key, 0.0) * cond[(k, c)].values
-        cf[tgt] = GridDensity.from_unnormalized(grid, values)
-    return cf, cond
+def _cell_weights(data: ObservationTable) -> tuple[np.ndarray, np.ndarray]:
+    """The table's non-empty cells and their weights, pooled as ``CovariateSample.pooled`` is."""
+    first, inverse = data.distinct_rows(COVARIATE_NAMES)
+    cells = sum((data.covariates[n][first] == "2") * (4 >> k)
+                for k, n in enumerate(COVARIATE_NAMES))
+    return cells, np.bincount(inverse, weights=data.weights / data.weights.sum())
 
 
 def _replication_scores(spec, n, seed, grid, estimators, truths_cf, truths_cond,
                         spline_count, degree):
-    """TV scores of every estimator on one simulated replication (None if it failed)."""
+    """TV scores of every estimator on one simulated replication (None if it failed).
+
+    Each estimator gives each group's eight cell conditionals D_k, and each
+    f_kl of ``AVERAGES`` is w_l @ D_k over the cells c_l of group l's data,
+    with their weights w_l.
+    """
     datas = {1: simulate(spec, 1, n, seed), 0: simulate(spec, 0, n, seed + 500_000_000)}
-    samples = {g: CovariateSample.from_table(d) for g, d in datas.items()}
+    cell_weights = {g: _cell_weights(d) for g, d in datas.items()}
     scores = {}
     for est in estimators:
         try:
-            if est == "bayes":
-                cf, cond = _bayes_estimates(datas, samples, grid, spline_count, degree)
-            elif est == "kde":
-                cf, cond = _kde_estimates(datas, samples, grid)
-            else:
-                raise ConfigError(f"unknown estimator '{est}'")
+            cond = {g: _cell_densities(est, datas[g], grid, spline_count, degree)
+                    for g in (1, 0)}
         except (DataError, RuntimeError):
             scores[est] = None
             continue
-        scores[est] = {tgt: tv_distance(cf[tgt], truths_cf[tgt]) for tgt in COUNTERFACTUAL_TARGETS}
+        scores[est] = {}
+        for tgt in COUNTERFACTUAL_TARGETS:
+            k, l, _ = AVERAGES[tgt]
+            cells, w = cell_weights[l]
+            scores[est][tgt] = tv_distance(GridDensity(grid, w @ cond[k][cells]), truths_cf[tgt])
         for g, tgt in ((1, "cond1"), (0, "cond0")):
-            tvs = [tv_distance(cond[(g, c)], truths_cond[(g, c)]) for c in range(8)]
+            tvs = [tv_distance(GridDensity(grid, d), truths_cond[(g, c)])
+                   for c, d in enumerate(cond[g])]
             scores[est][tgt] = float(np.mean(tvs))
     return scores
 
@@ -330,7 +323,7 @@ def run_study(
     spec: DgpSpec,
     n_values,
     replications: int,
-    estimators=("bayes", "kde"),
+    estimators=ESTIMATORS,
     seed: int = 0,
     n_bins: int = 50,
     spline_count: int = 12,
@@ -357,33 +350,24 @@ def run_study(
                    key=lambda task: (-task[0], task[1]))
     args = (grid, estimators, truths_cf, truths_cond, spline_count, degree)
     scores_by_task = _map_replications(spec, tasks, seed, args)
-    targets = COUNTERFACTUAL_TARGETS + CONDITIONAL_TARGETS
     rows = []
     for n in n_values:
-        acc = {est: {t: [] for t in targets} for est in estimators}
-        excluded = {est: 0 for est in estimators}
-        for r in range(replications):
-            for est, est_scores in scores_by_task[(n, r)].items():
-                if est_scores is None:
-                    excluded[est] += 1
-                    continue
-                for t in targets:
-                    acc[est][t].append(est_scores[t])
         for est in estimators:
-            for t in targets:
-                vals = np.asarray(acc[est][t])
-                used = len(vals)
-                rows.append(
-                    {
-                        "estimator": est,
-                        "n": int(n),
-                        "target": t,
-                        "mean_tv": float(vals.mean()) if used else float("nan"),
-                        "mc_se": float(vals.std(ddof=1) / np.sqrt(used)) if used > 1 else float("nan"),
-                        "used": used,
-                        "excluded": excluded[est],
-                    }
-                )
+            # the replications the estimator scored, in replication order
+            used = [s for r in range(replications)
+                    if (s := scores_by_task[(n, r)][est]) is not None]
+            for t in COUNTERFACTUAL_TARGETS + CONDITIONAL_TARGETS:
+                vals = np.array([s[t] for s in used])
+                rows.append({
+                    "estimator": est,
+                    "n": int(n),
+                    "target": t,
+                    "mean_tv": float(vals.mean()) if used else float("nan"),
+                    "mc_se": (float(vals.std(ddof=1) / np.sqrt(len(used))) if len(used) > 1
+                              else float("nan")),
+                    "used": len(used),
+                    "excluded": replications - len(used),
+                })
     return McReport(
         rows=tuple(rows),
         seed=seed,

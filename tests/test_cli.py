@@ -159,6 +159,30 @@ def test_parse_config_rejects_a_marginal_covariate_that_is_repeated_or_not_an_ef
         parse_config(text)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("simulate.estimators = bayes, bayes", "^simulate.estimators lists 'bayes' twice$"),
+    ("simulate.estimators = kde, bayes, kde", "^simulate.estimators lists 'kde' twice$"),
+    ("simulate.estimators = kdee",
+     r"^simulate.estimators: unknown estimator 'kdee' \(one of bayes, kde\)$"),
+    ("simulate.n = 200, 200", "^simulate.n lists 200 twice$"),
+    ("simulate.n = 100, 0", "^simulate.n: 0 is not positive$"),
+    ("simulate.n = -5", "^simulate.n: -5 is not positive$"),
+], ids=["estimator-twice", "estimator-twice-apart", "unknown-estimator", "n-twice", "n-zero",
+        "n-negative"])
+def test_parse_config_rejects_a_repeated_or_invalid_simulate_item(line, message):
+    key = line.split(" = ")[0]
+    text = "\n".join(line if l.startswith(key + " =") else l for l in SMALL_CONFIG.splitlines())
+    with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
+def test_parse_config_rejects_equal_group_labels():
+    text = SMALL_CONFIG.replace("data.control_label = W", "data.control_label = E")
+    with pytest.raises(ConfigError,
+                       match="^data.treated_label and data.control_label are both 'E'$"):
+        parse_config(text)
+
+
 def test_parse_config_rejects_a_nonzero_penalty():
     assert parse_config(SMALL_CONFIG).n_bins == 20  # "penalty = 0" still loads
     with pytest.raises(ConfigError, match="penalty"):

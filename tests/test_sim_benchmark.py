@@ -358,19 +358,24 @@ def _recorder(path):
     return record, recorded
 
 
-def _count_distinct_rows(monkeypatch, path):
-    """Record the calls of ``distinct_rows`` under every name that binds it."""
+def _spy(monkeypatch, path, name, what):
+    """Record ``what(args)`` of each call of ``density_regression.<name>``, however bound."""
     record, recorded = _recorder(path)
-    original = density_regression.distinct_rows
+    original = getattr(density_regression, name)
 
-    def counted(*args):
-        record(args[1])
+    def spied(*args):
+        record(what(args))
         return original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "cfdens" and getattr(module, "distinct_rows", None) is original:
-            monkeypatch.setattr(module, "distinct_rows", counted)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "cfdens" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, spied)
     return recorded
+
+
+def _count_distinct_rows(monkeypatch, path):
+    """Record the names of each call of ``distinct_rows``."""
+    return _spy(monkeypatch, path, "distinct_rows", lambda args: args[1])
 
 
 def test_a_replication_pools_each_group_once(monkeypatch, tmp_path):
@@ -398,7 +403,89 @@ def test_run_study_is_unchanged_without_the_cache(monkeypatch, tmp_path):
     recorded = _count_distinct_rows(monkeypatch, tmp_path / "calls")
     assert run_study(DgpSpec(), **kwargs).to_table() == cached
     calls = recorded()
-    assert len(calls) == 2 * 2 * 10  # n values x replications x calls per replication
+    assert len(calls) == 2 * 2 * 6  # n values x replications x calls per replication
+
+
+def _scored(monkeypatch, estimator, n, seed):
+    """One replication's scored f_kl by name and 16 cell conditionals, its data and fits.
+
+    The cell conditionals come group 1 first; the fits are the Bayes models by group.
+    """
+    scored, models = [], {}
+
+    def recording_tv(f, truth):
+        scored.append(f.values)
+        return tv_distance(f, truth)
+
+    def recording_fit(data, *args):
+        models[1 if data.group == "treated" else 0] = model = fit_bayes_group(data, *args)
+        return model
+
+    monkeypatch.setattr(sim_benchmark, "tv_distance", recording_tv)
+    monkeypatch.setattr(sim_benchmark, "fit_bayes_group", recording_fit)
+    spec, grid = DgpSpec(), unit_grid(50)
+    truths_cf = {tgt: true_counterfactual(spec, *counterfactual.AVERAGES[tgt][:2], grid)
+                 for tgt in sim_benchmark.COUNTERFACTUAL_TARGETS}
+    truths_cond = {(g, c): true_conditional(spec, g, c, grid) for g in (1, 0) for c in range(8)}
+    scores = sim_benchmark._replication_scores(spec, n, seed, grid, (estimator,), truths_cf,
+                                               truths_cond, 12, 3)
+    assert scores[estimator] is not None
+    datas = {1: simulate(spec, 1, n, seed), 0: simulate(spec, 0, n, seed + 500_000_000)}
+    return dict(zip(sim_benchmark.COUNTERFACTUAL_TARGETS, scored)), scored[4:], datas, models
+
+
+# at n = 30, seed 0 has one-observation cells and seed 2 an empty control cell
+@pytest.mark.parametrize("n, seed, empty", [(30, 0, 0), (30, 2, 1), (1000, 3, 0)])
+def test_bayes_study_counterfactuals_are_counterfactual_density(monkeypatch, n, seed, empty):
+    f, _, datas, models = _scored(monkeypatch, "bayes", n, seed)
+    for tgt, values in f.items():
+        k, l, _ = counterfactual.AVERAGES[tgt]
+        sample = counterfactual.CovariateSample.from_table(datas[l])
+        want = counterfactual.counterfactual_density(models[k], sample).values
+        if l == 0 and empty:
+            # counterfactual_density predicts the seven cells present, and the BLAS
+            # product over seven rows rounds its last bits differently from eight
+            assert len(sample.pooled(sim_benchmark.COVARIATE_NAMES)[0]) == 8 - empty
+            assert np.all(np.abs(values - want) <= 1e-14 * want)
+        else:
+            assert np.array_equal(values, want)
+
+
+def _kde_counterfactuals_by_key(datas, grid):
+    """Reference: each f_kl summed over the eight cells' keys, then renormalised."""
+    keys = [tuple(sorted(cell_covariates(c).items())) for c in range(8)]
+    kdes, cell_w = {}, {}
+    for g, data in datas.items():
+        kdes[g] = kde_conditional(data, grid)
+        sample = counterfactual.CovariateSample.from_table(data)
+        first, wts = sample.pooled(sim_benchmark.COVARIATE_NAMES)
+        cell_w[g] = {tuple((n, sample.covariates[n][i]) for n in sim_benchmark.COVARIATE_NAMES): w
+                     for i, w in zip(first, wts)}
+    out = {}
+    for tgt in sim_benchmark.COUNTERFACTUAL_TARGETS:
+        k, l, _ = counterfactual.AVERAGES[tgt]
+        values = np.zeros(grid.n_cells)
+        for key in keys:
+            values += cell_w[l].get(key, 0.0) * kdes[k][key].values
+        out[tgt] = GridDensity.from_unnormalized(grid, values).values
+    return out
+
+
+@pytest.mark.parametrize("n, seed", [(300, 5), (1000, 3)])
+def test_kde_study_counterfactuals_match_the_per_key_sum(monkeypatch, n, seed):
+    f, cond, datas, _ = _scored(monkeypatch, "kde", n, seed)
+    reference = _kde_counterfactuals_by_key(datas, unit_grid(50))
+    for tgt, values in f.items():
+        assert np.all(np.abs(values - reference[tgt]) <= 1e-14 * reference[tgt])
+    kdes = [d.values for g in (1, 0) for d in kde_conditional(datas[g], unit_grid(50)).values()]
+    assert all(np.array_equal(a, b) for a, b in zip(cond, kdes, strict=True))
+
+
+def test_a_bayes_replication_predicts_each_group_once(monkeypatch, tmp_path):
+    recorded = _spy(monkeypatch, tmp_path / "calls", "predict_densities",
+                    lambda args: len(args[1]))
+    run_study(DgpSpec(), n_values=[300], replications=2, estimators=("bayes",), seed=3)
+    assert recorded() == [8] * 4  # per replication, the eight cells of each group
 
 
 def test_run_study_rejects_zero_replications():
