@@ -60,6 +60,8 @@ def _cmd_fit(config: RunConfig, out_dir: Path, seed: int) -> None:
             "converged = True",
             f"final_deviance = {model.deviance_trace[-1]:.17g}",
             "theta = " + ",".join("%.17g" % t for t in model.theta),
+            f"smoothing_parameter = {model.smoothing_parameter:.17g}",
+            f"null_space_parameter = {model.null_space_parameter:.17g}",
             "",
         ]
         (out_dir / f"model_{label}.txt").write_text("\n".join(summary), encoding="utf-8")

@@ -7,11 +7,15 @@ which reduces to Newton scoring on the multinomial log-likelihood.  Weighted
 (non-integer) counts are handled as a quasi-likelihood.
 
 Two estimators share one Newton loop, ``_newton``, which alone decides that a
-run failed.  ``fit`` is the plain maximum likelihood estimate.  ``fit_smoothed``
-is the double-penalty P-spline fit: a second-order difference penalty along
-the outcome direction plus a penalty on its null space, both strengths
-selected inside the same loop by the generalized Fellner--Schall update.  The
-CLI and the Monte Carlo study use ``fit_smoothed`` through ``fit_group``.
+run failed.  ``fit`` is the plain maximum likelihood estimate from zero.
+``fit_smoothed`` is the double-penalty P-spline fit: a second-order difference
+penalty along the outcome direction plus a penalty on its null space.  Both
+strengths are selected inside the same loop, where each iteration takes one
+safeguarded Newton step in their logarithms on the Laplace-approximate REML
+criterion of the current quadratic model (Wood 2011) and then a Newton step in
+the coefficients.  It starts with the intercept's outcome block at a penalized
+fit of the pooled log-histogram.  The CLI and the Monte Carlo study use
+``fit_smoothed`` through ``fit_group``.
 """
 
 from __future__ import annotations
@@ -325,12 +329,17 @@ def _information_kernel(pooled, bx, bt):
 
 #: past this max|theta| a run is drifting to an estimate at infinity
 DIVERGENCE_CAP = 1e5
-#: |lambda_j theta'S_j theta - edf_j| is twice the slope of the Laplace-approximate
-#: REML criterion in log lambda_j; it vanishes at a finite optimum and as
-#: lambda_j -> infinity
+#: a run stops only once its last accepted step moves no coefficient by more than
+#: this times 1 + max|theta|: where the estimate lies at infinity the deviance
+#: stalls while the steps do not shrink
+STEP_RTOL = 1e-6
+#: |lambda_j theta'S_j theta - edf_j| is the slope of the REML criterion in
+#: log lambda_j; it vanishes at a finite optimum and as lambda_j -> infinity
 SELECTION_TOL = 1e-5
-#: the selection converges linearly, slowly where REML is flat in lambda
-MAX_SELECTION_ITER = 1000
+#: the largest move of one log lambda_j in one iteration
+MAX_LOG_LAMBDA_STEP = 5.0
+#: step halvings of the line searches in theta and in log lambda
+MAX_HALVINGS = 40
 
 
 def _solve(a, b):
@@ -340,93 +349,206 @@ def _solve(a, b):
         raise NumericError(f"singular information matrix: {exc}") from exc
 
 
-def _newton(theta0, pooled, bx, bt, penalties=(), max_iter=MAX_ITER):
+def _log_det(hessian):
+    """log|H| from the Cholesky factor of H, or None where H is not positive definite."""
+    try:
+        return 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(hessian)))))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _select(info, b, lams, weights, ranks):
+    """One safeguarded Newton step in rho = log lambda on the REML of the working model.
+
+    At the current theta the penalized deviance is the quadratic with
+    Hessian H = I + sum_j lambda_j S_j and minimizer theta_lambda = H^-1 b,
+    b = I theta + score.  Its Laplace-approximate REML criterion
+
+        V(rho) = -b'theta_lambda + log|H| - sum_j rank(S_j) rho_j
+
+    has, with M_j = lambda_j H^-1 S_j and u_j = lambda_j S_j theta_lambda
+    (Wood 2011),
+
+        dV/drho_j = theta_lambda'u_j - edf_j,  edf_j = tr(Pi_j H^-1 I)
+        d2V/drho_j drho_k = delta_jk (theta_lambda'u_j + tr M_j)
+                            - 2 u_j'H^-1 u_k - tr(M_j M_k)
+
+    from d theta_lambda / d rho_k = -H^-1 u_k.  Everything is in the
+    eigenbasis of the penalties, where S_j = diag(``weights[j]``) and Pi_j is
+    the indicator of its nonzero entries, so all but H^-1 costs O(R^2).  The
+    step is Newton's along the eigenvectors of positive curvature and as long
+    as allowed along the others, where the quadratic model has no minimum; it
+    moves no rho_j by more than ``MAX_LOG_LAMBDA_STEP`` and is halved until V
+    does not increase.  Each trial lambda costs one Cholesky factor and one
+    solve, which gives theta_lambda there.
+
+    Returns (lambdas, theta_lambda at them, settled), settled when every
+    |dV/drho_j| <= ``SELECTION_TOL`` at the current lambdas, which are then kept.
+    """
+    hessian = info + np.diag(lams @ weights)
+    try:
+        inverse = np.linalg.inv(hessian)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"singular information matrix: {exc}") from exc
+    target = inverse @ b
+    # diag(H^-1 I) from the symmetric I: tr(Pi_j H^-1 I) has no cancellation at large lambda_j
+    edfs = (weights > 0) @ np.sum(inverse * info, axis=1)
+    scaled = lams[:, None] * weights
+    us = scaled * target
+    quads = us @ target
+    grad = quads - edfs
+    if np.all(np.abs(grad) <= SELECTION_TOL):
+        return lams, target, True
+    curv = (np.diag(quads + scaled @ np.diag(inverse)) - 2.0 * us @ inverse @ us.T
+            - scaled @ (inverse * inverse) @ scaled.T)
+    eigvals, eigvecs = np.linalg.eigh(curv)
+    along = eigvecs.T @ grad
+    convex = eigvals > 1e-12
+    delta = -eigvecs @ np.where(convex, along / np.where(convex, eigvals, 1.0),
+                                np.sign(along) * MAX_LOG_LAMBDA_STEP)
+    delta *= min(1.0, MAX_LOG_LAMBDA_STEP / np.max(np.abs(delta)))
+    log_det = _log_det(hessian)
+    if log_det is None:
+        raise NumericError("penalized information matrix is not positive definite")
+    value = -b @ target + log_det - ranks @ np.log(lams)
+    for _ in range(MAX_HALVINGS):
+        trial = lams * np.exp(delta)
+        trial_hessian = info + np.diag(trial @ weights)
+        log_det = _log_det(trial_hessian)
+        if log_det is not None:
+            trial_target = _solve(trial_hessian, b)
+            trial_value = -b @ trial_target + log_det - ranks @ np.log(trial)
+            if trial_value <= value + 1e-13 * (abs(value) + 1.0):
+                return trial, trial_target, False
+        delta *= 0.5
+    return lams, target, False
+
+
+def _newton(theta0, pooled, bx, bt, penalty=None):
     """Newton scoring on the penalized multinomial deviance, selecting its penalties.
 
-    The objective is ``-2 loglik + sum_j lambda_j theta'S_j theta`` over the
-    pairs (S_j, Pi_j) of ``penalties``, Pi_j the projector onto range(S_j).
-    Each iteration computes the score and information I once, then, unless
-    the selection has settled, takes the generalized Fellner--Schall update
-    (Wood & Fasiolo 2017) from lambda_j = 1
-
-        lambda_j <- edf_j / theta'S_j theta,  edf_j = tr(Pi_j H^-1 I),  H = I + sum_j lambda_j S_j
-
-    (rank S_j - lambda_j tr(H^-1 S_j) for disjoint ranges, without its
-    cancellation at large lambda_j), and then a step-halved Newton step at the
-    updated lambdas.  It stops once every |lambda_j theta'S_j theta - edf_j| <=
-    ``SELECTION_TOL`` and the step moves the deviance by less than
-    ``DEVIANCE_RTOL``; with no penalties it is plain Newton scoring.
+    ``penalty`` is None or (V, W): V an orthogonal d_T x d_T matrix and W a
+    J x d_T array of nonnegative rows.  The objective is then
+    ``-2 loglik + sum_j lambda_j theta'S_j theta`` with S_j = I_{d_x} kron
+    V diag(W_j) V', whose ranges must be disjoint.  Each iteration computes the
+    score and information I once and turns them into the eigenbasis
+    I_{d_x} kron V of the penalties.  Unless the selection has settled,
+    ``_select`` then takes one safeguarded Newton step in log lambda, from
+    lambda_j = 1, on the Laplace-approximate REML of the quadratic model of
+    the deviance at theta (Wood 2011); its stationary point is the
+    Fellner--Schall fixed point lambda_j theta'S_j theta = edf_j.  Last comes
+    a step-halved Newton step in theta at the updated lambdas, towards the
+    minimizer of that quadratic model.  The run stops once the selection has
+    settled, the step moves the deviance by less than ``DEVIANCE_RTOL`` and
+    no coefficient by more than ``STEP_RTOL`` times 1 + max|theta|; with no
+    penalty it is plain Newton scoring.
 
     Returns (theta, trace, lambdas, H), with H recomputed at the returned theta.
     Raises ``NumericError`` once max|theta| passes ``DIVERGENCE_CAP`` and
-    ``ConvergenceError`` when ``max_iter`` iterations do not converge.
+    ``ConvergenceError`` when ``MAX_ITER`` iterations do not converge.
     """
-
     kernel = _information_kernel(pooled, bx, bt)
+    d_x, d_t = bx.shape[1], bt.shape[1]
+    rotation, block = penalty if penalty is not None else (np.eye(d_t), np.zeros((0, d_t)))
+    weights = np.tile(block, d_x)
+    ranks = np.count_nonzero(weights, axis=1)
+    lams = np.ones(len(weights))
+
+    def rotated(x):
+        """x times I_{d_x} kron V along its last axis."""
+        return (x.reshape(*x.shape[:-1], d_x, d_t) @ rotation).reshape(x.shape)
+
+    def penalized(fit_dev, theta):
+        return fit_dev + float(lams @ weights @ rotated(theta) ** 2)
+
     theta = np.asarray(theta0, dtype=float).copy()
-    lams = np.ones(len(penalties))
-    total = sum((lam * S for lam, (S, _) in zip(lams, penalties)), np.zeros((len(theta),) * 2))
     # each candidate is normalised once: the accepted one's densities and
     # -2 loglik serve the next iteration's kernel and line search
     dens, fit_dev = _deviance(_eta(bx, theta, bt), pooled)
-    dev = fit_dev + float(theta @ total @ theta)
+    dev = penalized(fit_dev, theta)
     trace = [dev]
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         score, info = kernel(theta, dens)
         settled = True
-        if penalties:
-            quads = np.array([theta @ S @ theta for S, _ in penalties])
-            # edf_j = tr(Pi_j X) for X = H^-1 I: the entrywise sum of Pi_j * X'
-            reduced = _solve(info + total, info).T
-            edfs = np.array([np.sum(proj * reduced) for _, proj in penalties])
-            settled = bool(np.all(np.abs(lams * quads - edfs) <= SELECTION_TOL))
-            if not settled and theta.any():  # at a zero start theta'S theta is 0
-                if not (np.all(edfs > 0) and np.all(quads > 0)):
-                    raise NumericError(
-                        f"degenerate smoothing-parameter update (edf {edfs}, "
-                        f"theta'S theta {quads})"
-                    )
-                lams = edfs / quads
-                total = sum(lam * S for lam, (S, _) in zip(lams, penalties))
-                dev = fit_dev + float(theta @ total @ theta)
-        step = _solve(info + total, score - total @ theta)
+        if penalty is not None:
+            # the information in the penalties' eigenbasis (I is symmetric)
+            info_r = rotated(rotated(info).T)
+            lams, target, settled = _select(info_r, info_r @ rotated(theta) + rotated(score),
+                                            lams, weights, ranks)
+            step = (target.reshape(d_x, d_t) @ rotation.T).ravel() - theta
+            dev = penalized(fit_dev, theta)
+        else:
+            step = _solve(info, score)
         scale = 1.0
-        for _ in range(40):
+        for _ in range(MAX_HALVINGS):
             cand = theta + scale * step
             cand_dens, cand_fit = _deviance(_eta(bx, cand, bt), pooled)
-            cand_dev = cand_fit + float(cand @ total @ cand)
+            cand_dev = penalized(cand_fit, cand)
             if cand_dev <= dev + 1e-13 * (abs(dev) + 1.0):
                 break
             scale *= 0.5
         else:
             cand, cand_dens, cand_fit, cand_dev = theta, dens, fit_dev, dev
         rel_change = abs(dev - cand_dev) / (abs(dev) + 0.1)
+        moved = np.max(np.abs(cand - theta))
         theta, dens, fit_dev, dev = cand, cand_dens, cand_fit, cand_dev
         trace.append(dev)
         if np.max(np.abs(theta)) > DIVERGENCE_CAP:
             raise NumericError(
                 f"coefficients diverging past {DIVERGENCE_CAP:g} (likely separation)"
             )
-        if settled and rel_change < DEVIANCE_RTOL:
-            return theta, trace, lams, kernel(theta, dens)[1] + total
-    raise ConvergenceError(f"did not converge in {max_iter} iterations", trace=trace)
+        if (settled and rel_change < DEVIANCE_RTOL
+                and moved <= STEP_RTOL * (1.0 + np.max(np.abs(theta)))):
+            total = (rotation * (lams @ block)) @ rotation.T
+            return theta, trace, lams, kernel(theta, dens)[1] + np.kron(np.eye(d_x), total)
+    raise ConvergenceError(f"did not converge in {MAX_ITER} iterations", trace=trace)
 
 
-def _fit(pooled, covariate_bases, outcome_basis, penalties=(), max_iter=MAX_ITER):
-    """Run ``_newton`` from zero on weights rescaled to sum to the row count.
+def _warm_start(pooled, covariate_bases, bt, penalty):
+    """Coefficients zero but for the intercept's outcome block, fitted to the pooled log-histogram.
+
+    The block minimizes sum_g c_g (log(c_g / w_g) - c - B_T[g] a)^2 + a'S a over
+    (c, a), for the pooled counts c_g, cell widths w_g and the penalty S at
+    every lambda_j = 1: the first step of the Poisson log-linear fit from the
+    saturated one, which weighs each cell as the likelihood does.  Without an
+    intercept all coefficients are zero.
+    """
+    d_t = bt.shape[1]
+    theta = np.zeros(sum(cb.n_columns for cb in covariate_bases) * d_t)
+    kinds = [cb.spec.kind for cb in covariate_bases]
+    if "intercept" not in kinds:
+        return theta
+    offset = d_t * sum(cb.n_columns for cb in covariate_bases[:kinds.index("intercept")])
+    counts = pooled.counts.sum(axis=0)
+    seen = counts > 0
+    logs = np.zeros(len(counts))
+    logs[seen] = np.log(counts[seen] / pooled.grid.widths[seen])
+    design = np.hstack([np.ones((len(counts), 1)), bt])
+    normal = design.T @ (counts[:, None] * design)
+    rotation, weights = penalty
+    normal[1:, 1:] += (rotation * weights.sum(axis=0)) @ rotation.T
+    theta[offset:offset + d_t] = _solve(normal, design.T @ (counts * logs))[1:]
+    return theta
+
+
+def _fit(pooled, covariate_bases, outcome_basis, penalty=None):
+    """Run ``_newton`` on weights rescaled to sum to the row count.
 
     The likelihood treats weights as counts, so the rescaling keeps the Hessian
     and the selected lambdas (lambda = 1 weighs one row) free of their scale.
+    A penalized run starts at ``_warm_start``, a plain one at zero.
     """
     if not np.any(pooled.counts > 0):
         raise DataError("no positive counts to fit")
     scale = pooled.n_rows / pooled.totals.sum()
     pooled = replace(pooled, counts=pooled.counts * scale, totals=pooled.totals * scale)
     bx, bt = _pooled_matrix(pooled, covariate_bases), outcome_basis.matrix
-    theta, trace, lams, hessian = _newton(
-        np.zeros(bx.shape[1] * bt.shape[1]), pooled, bx, bt, penalties, max_iter
-    )
-    lam, lam0 = lams if penalties else (0.0, 0.0)
+    if penalty is None:
+        theta0 = np.zeros(bx.shape[1] * bt.shape[1])
+    else:
+        theta0 = _warm_start(pooled, covariate_bases, bt, penalty)
+    theta, trace, lams, hessian = _newton(theta0, pooled, bx, bt, penalty)
+    lam, lam0 = lams if penalty is not None else (0.0, 0.0)
     return FittedDensityModel(
         theta=theta,
         outcome_basis=outcome_basis,
@@ -451,11 +573,23 @@ def fit(
     exact maximizer and the stored Hessian is the information at it (for
     weights rescaled to sum to the row count).  Where that maximizer lies at
     infinity (a covariate subgroup with an empty span of outcome cells) the
-    coefficients drift: the run raises ``NumericError`` once they pass
-    ``DIVERGENCE_CAP``, or stops at a boundary estimate once the deviance
-    stalls.  ``fit_smoothed`` has an interior estimate there.
+    coefficients drift with steps that do not shrink, so the run raises: a
+    ``NumericError`` once they pass ``DIVERGENCE_CAP`` or the information turns
+    singular, else a ``ConvergenceError``.  ``fit_smoothed`` has an interior
+    estimate there.
     """
     return _fit(pooled, covariate_bases, outcome_basis)
+
+
+def _outcome_penalty(outcome_basis: OutcomeBasis) -> np.ndarray:
+    """D'D on the outcome columns: the block of ``difference_penalty`` for one covariate column."""
+    n_splines = outcome_basis.spline_count
+    raw = np.diff(np.eye(n_splines), n=2, axis=0)
+    # the basis keeps every raw column but the last, and the splines come first
+    kept = min(n_splines, outcome_basis.n_columns)
+    diff = np.zeros((len(raw), outcome_basis.n_columns))
+    diff[:, :kept] = raw[:, :kept]
+    return diff.T @ diff
 
 
 def difference_penalty(covariate_bases, outcome_basis: OutcomeBasis) -> np.ndarray:
@@ -467,14 +601,8 @@ def difference_penalty(covariate_bases, outcome_basis: OutcomeBasis) -> np.ndarr
     ``sum_k k B_k(y)`` (linear in y away from the clamped boundary knots),
     the atom columns, and with atoms present the level of the continuous part.
     """
-    n_splines = outcome_basis.spline_count
-    raw = np.diff(np.eye(n_splines), n=2, axis=0)
-    # the basis keeps every raw column but the last, and the splines come first
-    kept = min(n_splines, outcome_basis.n_columns)
-    diff = np.zeros((len(raw), outcome_basis.n_columns))
-    diff[:, :kept] = raw[:, :kept]
     d_x = sum(cb.n_columns for cb in covariate_bases)
-    return np.kron(np.eye(d_x), diff.T @ diff)
+    return np.kron(np.eye(d_x), _outcome_penalty(outcome_basis))
 
 
 def fit_smoothed(
@@ -489,17 +617,14 @@ def fit_smoothed(
     on its null space U_0, the "double penalty" of Marra & Wood (2011).  Every
     direction is then held, so a covariate subgroup with an empty span of
     outcome cells still gets an interior estimate.  ``_newton`` selects lambda
-    and lambda_0 in its one loop, within ``MAX_SELECTION_ITER`` iterations.
+    and lambda_0 by REML in its one loop, within ``MAX_ITER`` iterations.
     """
-    S = difference_penalty(covariate_bases, outcome_basis)
-    eigvals, eigvecs = np.linalg.eigh(S)
+    eigvals, eigvecs = np.linalg.eigh(_outcome_penalty(outcome_basis))
     penalized = eigvals > 1e-10 * eigvals.max()
     if not penalized.any():
         raise ConfigError("the outcome basis has no spline coefficients to penalize")
-    u_pen, u_null = eigvecs[:, penalized], eigvecs[:, ~penalized]
-    null = u_null @ u_null.T
-    return _fit(pooled, covariate_bases, outcome_basis,
-                ((S, u_pen @ u_pen.T), (null, null)), MAX_SELECTION_ITER)
+    weights = np.array([np.where(penalized, eigvals, 0.0), (~penalized).astype(float)])
+    return _fit(pooled, covariate_bases, outcome_basis, (eigvecs, weights))
 
 
 def fit_group(table: ObservationTable, effects,

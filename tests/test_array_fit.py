@@ -17,7 +17,7 @@ from cfdens import density_regression
 from cfdens.basis import PartialEffectSpec, build_covariate_basis, build_outcome_basis, design_row
 from cfdens.config import load_config
 from cfdens.dataio import load_dataset
-from cfdens.density_regression import ObservationTable, bin_and_pool, fit, fit_smoothed
+from cfdens.density_regression import ObservationTable, bin_and_pool, fit, fit_group, fit_smoothed
 from cfdens.errors import NumericError
 from cfdens.measure_grid import GridSpec
 from cfdens.sim_benchmark import DgpSpec, fit_bayes_group, simulate
@@ -150,6 +150,18 @@ def test_fit_smoothed_with_the_reference_kernel_takes_the_same_steps(design, mon
     ref = fit_smoothed(pooled, covariate_bases, outcome_basis)
     assert model.iterations == ref.iterations
     assert np.max(np.abs(model.theta - ref.theta)) <= 1e-10
+
+
+def test_fit_group_takes_at_most_14_iterations_per_bundled_group():
+    # 11 and 11 with the selection by Newton steps on REML; 30 and 19 with the
+    # Fellner-Schall update it replaced
+    config = load_config(ROOT / "configs" / "synthetic_mixed.cfg")
+    grid = GridSpec.from_measure(config.measure, config.n_bins)
+    outcome_basis = build_outcome_basis(config.measure, grid, config.basis_count,
+                                        config.basis_degree)
+    tables = load_dataset(ROOT / config.data_path, config)
+    iterations = [fit_group(table, config.effects, outcome_basis).iterations for table in tables]
+    assert max(iterations) <= 14, iterations
 
 
 def test_newton_normalises_each_candidate_once(monkeypatch):

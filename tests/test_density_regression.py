@@ -410,6 +410,18 @@ def test_fit_invariant_to_row_permutation():
     assert np.max(np.abs(model1.theta - model2.theta)) < 1e-10
 
 
+def test_fit_raises_where_the_estimate_lies_at_infinity():
+    # level b has no rows in the upper half of (0, 1): its log-density there
+    # drifts to -inf with steps that do not shrink while the deviance stalls
+    rng = np.random.default_rng(0)
+    outcomes = np.concatenate([rng.uniform(0.0, 1.0, 150), rng.uniform(0.0, 0.5, 150)])
+    t = np.array(["a"] * 150 + ["b"] * 150)
+    grid = unit_grid(10)
+    basis = build_outcome_basis(UNIT_MEASURE, grid, spline_count=6, degree=2)
+    with pytest.raises((NumericError, ConvergenceError)):
+        fit(bin_and_pool(_table(outcomes, t=t), grid), _binary_bases(t), basis)
+
+
 def test_fit_weighted_rows_equal_duplicated_rows():
     grid = unit_grid(5)
     basis = build_outcome_basis(UNIT_MEASURE, grid, spline_count=5, degree=1)
@@ -468,6 +480,28 @@ def test_fit_smoothed_lambda_is_fellner_schall_fixed_point():
     assert model.iterations == len(model.deviance_trace) - 1
 
 
+@pytest.mark.parametrize("seed", [2, 5, 9])
+def test_fit_smoothed_converges_on_uniform_outcomes(seed):
+    # flat outcomes put both optima near the boundary of the REML criterion;
+    # seed 5 does not converge without the halving of the step in log lambda
+    grid = unit_grid(50)
+    basis = build_outcome_basis(UNIT_MEASURE, grid, spline_count=12, degree=3)
+    pooled = bin_and_pool(_table(np.random.default_rng(seed).uniform(size=1000)), grid)
+    model = fit_smoothed(pooled, _intercept_basis(), basis)
+    S = difference_penalty(model.covariate_bases, model.outcome_basis)
+    edf = np.linalg.matrix_rank(S) - model.smoothing_parameter * np.trace(
+        np.linalg.solve(model.fisher_information, S))
+    assert model.smoothing_parameter * (model.theta @ S @ model.theta) == pytest.approx(
+        edf, abs=1e-4)
+
+
+def test_fit_smoothed_selects_the_lambdas_of_a_monte_carlo_replication():
+    # the Fellner-Schall selection's values, to its own tolerance
+    model = fit_bayes_group(simulate(DgpSpec(), 1, 1000, seed=2), unit_grid(50))
+    assert model.smoothing_parameter == pytest.approx(3.0752199, rel=1e-5)
+    assert model.null_space_parameter == pytest.approx(0.0348083, rel=1e-5)
+
+
 def test_fit_smoothed_log_linear_truth_reaches_null_space_fit():
     # f(y) ~ exp(b y) lies in the null space of the difference penalty up to
     # the bend of the free tilt over the clamped boundary knots, which is far
@@ -502,7 +536,7 @@ def test_fit_smoothed_raises_when_selection_does_not_settle(monkeypatch):
     data = simulate(DgpSpec(), 1, 500, seed=3)
     grid = unit_grid(50)
     model = fit_bayes_group(data, grid)
-    monkeypatch.setattr(density_regression, "MAX_SELECTION_ITER", 2)
+    monkeypatch.setattr(density_regression, "MAX_ITER", 2)
     with pytest.raises(ConvergenceError, match="did not converge"):
         fit_smoothed(bin_and_pool(data, grid), model.covariate_bases, model.outcome_basis)
 
@@ -550,8 +584,8 @@ def test_predict_density_is_valid_density():
 def test_property_predicted_density_valid_for_any_theta(theta):
     grid = unit_grid(50)
     basis = build_outcome_basis(UNIT_MEASURE, grid, spline_count=12, degree=3)
-    table = _table([0.5])
-    model = fit_table(table, _intercept_basis(), basis)
+    # one row: the plain fit's estimate lies at infinity
+    model = fit_smoothed(bin_and_pool(_table([0.5]), grid), _intercept_basis(), basis)
     dens = predict_density(model, {}, theta=np.array(theta))
     assert np.all(dens.values >= 0)
     assert integrate(dens.values, grid) == pytest.approx(1.0, abs=1e-8)
