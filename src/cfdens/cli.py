@@ -18,9 +18,6 @@ from .errors import ConfigError
 from .measure_grid import GridSpec
 from .sim_benchmark import DgpSpec, run_study
 
-FULL_SCALE_N = [500, 1000, 5000, 10_000, 20_000, 100_000]
-FULL_SCALE_REPLICATIONS = 1000
-
 
 def _write_manifest(out_dir: Path, config: RunConfig, command: str, seed: int):
     lines = [
@@ -87,13 +84,11 @@ def _cmd_effects(config: RunConfig, out_dir: Path, seed: int, command: str) -> N
         write_curve_table(out_dir / f"{stem}.csv", grid, ratio_curves(band))
 
 
-def _cmd_simulate(config: RunConfig, out_dir: Path, seed: int, full_scale: bool) -> None:
-    n_values = FULL_SCALE_N if full_scale else config.sim_n
-    replications = FULL_SCALE_REPLICATIONS if full_scale else config.sim_replications
+def _cmd_simulate(config: RunConfig, out_dir: Path, seed: int) -> None:
     report = run_study(
         DgpSpec(),
-        n_values=n_values,
-        replications=replications,
+        n_values=config.sim_n,
+        replications=config.sim_replications,
         estimators=tuple(config.sim_estimators),
         seed=seed,
         n_bins=config.n_bins,
@@ -112,8 +107,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="key-value configuration file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--full-scale", action="store_true",
-                        help="full simulation settings (1000 replications, all n)")
     args = parser.parse_args(argv)
 
     try:
@@ -124,7 +117,7 @@ def main(argv=None) -> int:
         if args.command == "fit":
             _cmd_fit(config, out_dir, seed)
         elif args.command == "simulate":
-            _cmd_simulate(config, out_dir, seed, args.full_scale)
+            _cmd_simulate(config, out_dir, seed)
         else:
             _cmd_effects(config, out_dir, seed, args.command)
         _write_manifest(out_dir, config, args.command, seed)

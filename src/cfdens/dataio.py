@@ -23,7 +23,8 @@ def load_dataset(path, config: RunConfig) -> tuple[ObservationTable, Observation
     header's is an error.  Each needed column is parsed once: the outcome,
     the weight and every smooth covariate as finite float64, a categorical
     covariate as strings.  Outcomes above the cap become the cap atom, and
-    every outcome must lie in a grid cell; no weight column means unit weights.
+    every outcome must lie in a grid cell.  Every weight must be positive, and
+    no weight column means unit weights.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -76,6 +77,11 @@ def load_dataset(path, config: RunConfig) -> tuple[ObservationTable, Observation
     if len(outside):
         raise DataError(f"row {outside[0] + 2}: {grid.domain_error(outcomes[outside[0]])}")
     weights = column(config.weight_column) if config.weight_column else np.ones(len(rows))
+    nonpositive = np.flatnonzero(weights <= 0)
+    if len(nonpositive):
+        text = rows[nonpositive[0]][position[config.weight_column]]
+        raise DataError(f"row {nonpositive[0] + 2}: weight '{text}' in column "
+                        f"'{config.weight_column}' is not positive")
     columns = {name: column(name, kind == "smooth") for name, kind in kinds.items()}
 
     def build(label, mask):

@@ -102,22 +102,14 @@ def distinct_rows(covariates: dict, names, n_rows: int) -> tuple[np.ndarray, np.
 
     Combinations come in the sorted order of their values, first name most
     significant, whatever the order of the rows.  Each step ranks the combined
-    codes ``inverse * L + codes``: by a table of the codes present where it
-    has at most ``4 * n_rows`` entries, else by a sort.
+    codes ``inverse * L + codes`` by a sort.
     """
     inverse, size = np.zeros(n_rows, dtype=np.intp), 1
     for n in names:
         levels, codes = np.unique(covariates[n], return_inverse=True)
         # recoding each time keeps the combined code below n_rows * L
-        combined = inverse * len(levels) + codes.ravel()
-        if size * len(levels) <= 4 * n_rows:
-            present = np.zeros(size * len(levels), dtype=bool)
-            present[combined] = True
-            inverse = (np.cumsum(present, dtype=np.intp) - 1)[combined]
-            size = int(np.count_nonzero(present))
-        else:
-            unique, inverse = np.unique(combined, return_inverse=True)
-            size = len(unique)
+        unique, inverse = np.unique(inverse * len(levels) + codes.ravel(), return_inverse=True)
+        size = len(unique)
     first = np.full(size, n_rows, dtype=np.intp)
     np.minimum.at(first, inverse, np.arange(n_rows))
     return first, inverse
@@ -169,18 +161,25 @@ class FittedDensityModel:
     draws use the Bayesian posterior covariance of a penalized fit.
     ``smoothing_parameter`` and ``null_space_parameter`` are the strengths of
     the difference penalty and of its null-space penalty (both 0 for ``fit``);
-    ``iterations`` and ``deviance_trace`` cover every Newton step.
+    ``deviance_trace`` covers every Newton step.
     """
 
     theta: np.ndarray
     outcome_basis: OutcomeBasis
     covariate_bases: tuple[CovariateBasis, ...]
-    grid: GridSpec
     fisher_information: np.ndarray = field(repr=False)
     deviance_trace: tuple[float, ...] = ()
-    iterations: int = 0
     smoothing_parameter: float = 0.0
     null_space_parameter: float = 0.0
+
+    @property
+    def grid(self) -> GridSpec:
+        return self.outcome_basis.grid
+
+    @property
+    def iterations(self) -> int:
+        """Newton steps taken: one per entry of ``deviance_trace`` after the first."""
+        return len(self.deviance_trace) - 1
 
     @property
     def n_coefficients(self) -> int:
@@ -553,10 +552,8 @@ def _fit(pooled, covariate_bases, outcome_basis, penalty=None):
         theta=theta,
         outcome_basis=outcome_basis,
         covariate_bases=tuple(covariate_bases),
-        grid=pooled.grid,
         fisher_information=hessian,
         deviance_trace=tuple(trace),
-        iterations=len(trace) - 1,
         smoothing_parameter=float(lam),
         null_space_parameter=float(lam0),
     )

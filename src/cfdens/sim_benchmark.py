@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import PartialEffectSpec, build_outcome_basis, covariate_matrix
-from .counterfactual import AVERAGES
+from .counterfactual import AVERAGES, CovariateSample
 from .density_regression import FittedDensityModel, ObservationTable, fit_group, predict_densities
 from .errors import ConfigError, DataError, DomainError
 from .measure_grid import GridDensity, GridSpec, ReferenceMeasure, tv_distance
@@ -253,11 +253,11 @@ def _cell_densities(est, data, grid, spline_count, degree) -> np.ndarray:
 
 
 def _cell_weights(data: ObservationTable) -> tuple[np.ndarray, np.ndarray]:
-    """The table's non-empty cells and their weights, pooled as ``CovariateSample.pooled`` is."""
-    first, inverse = data.distinct_rows(COVARIATE_NAMES)
+    """The table's non-empty cells and their weights from ``CovariateSample.pooled``."""
+    first, weights = CovariateSample.from_table(data).pooled(COVARIATE_NAMES)
     cells = sum((data.covariates[n][first] == "2") * (4 >> k)
                 for k, n in enumerate(COVARIATE_NAMES))
-    return cells, np.bincount(inverse, weights=data.weights / data.weights.sum())
+    return cells, weights
 
 
 def _replication_scores(spec, n, seed, grid, estimators, truths_cf, truths_cond,

@@ -132,6 +132,12 @@ def test_every_shipped_config_loads():
         load_config(path)
 
 
+def test_the_full_study_config_sets_the_whole_ladder():
+    cfg = load_config(ROOT / "configs" / "simulation_full.cfg")
+    assert cfg.sim_n == [500, 1000, 5000, 10_000, 20_000, 100_000]
+    assert cfg.sim_replications == 1000
+
+
 @pytest.mark.parametrize("drop", ["measure.cap_atom", "measure.cap "],
                          ids=["no-cap-atom", "no-cap"])
 def test_parse_config_needs_the_cap_and_its_atom_together(drop):
@@ -296,6 +302,15 @@ def test_load_dataset_names_the_row_of_an_outcome_outside_the_measure(tmp_path):
     assert load("0")[0].outcomes[1] == 0.0  # the interval is closed
 
 
+def test_load_dataset_names_the_row_and_column_of_a_non_positive_weight(tmp_path):
+    lines = DATA.read_text(encoding="utf-8").splitlines()
+    for k, weight in ((5, "0"), (7, "-2")):  # rows 6 and 8; the header is row 1
+        lines[k] = lines[k].rsplit(",", 1)[0] + "," + weight
+    path = _write_csv(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="^row 6: weight '0' in column 'weight' is not positive$"):
+        load_dataset(path, load_config(ROOT / "configs" / "synthetic_mixed.cfg"))
+
+
 def test_load_dataset_skips_blank_lines(tmp_path):
     text = _csv_text("grp,y,g,a,w", TREATED_ROW, "", CONTROL_ROW, "")
     treated, control = load_dataset(_write_csv(tmp_path, text), parse_config(MALFORMED_CFG))
@@ -439,6 +454,14 @@ def test_cli_simulate_outputs_and_determinism(config_file, tmp_path):
     text = (out1 / "mc_report.csv").read_text()
     assert "estimator,n,target,mean_tv" in text
     assert "kde,200,f11" in text
+    # the config alone sets the study's size, so the manifest records it
+    assert "\nsimulate.n = 200\n" in (out1 / "manifest.txt").read_text()
+
+
+def test_cli_simulate_has_no_full_scale_flag(config_file, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(config_file), "--out", str(tmp_path), "--full-scale"])
+    assert exc.value.code == 2
 
 
 # ------------------------------------------------ invariances of the CLI fit

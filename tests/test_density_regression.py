@@ -480,6 +480,15 @@ def test_fit_smoothed_lambda_is_fellner_schall_fixed_point():
     assert model.iterations == len(model.deviance_trace) - 1
 
 
+def test_model_grid_and_iterations_are_read_from_their_sources():
+    grid = unit_grid(20)
+    basis = build_outcome_basis(UNIT_MEASURE, grid, spline_count=6, degree=3)
+    pooled = bin_and_pool(_table(np.random.default_rng(1).beta(2, 3, size=200)), grid)
+    model = fit_smoothed(pooled, _intercept_basis(), basis)
+    assert model.grid is basis.grid and model.iterations >= 2
+    assert replace(model, deviance_trace=model.deviance_trace[:2]).iterations == 1
+
+
 @pytest.mark.parametrize("seed", [2, 5, 9])
 def test_fit_smoothed_converges_on_uniform_outcomes(seed):
     # flat outcomes put both optima near the boundary of the REML criterion;
