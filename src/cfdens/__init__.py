@@ -21,20 +21,14 @@ from .basis import (
     PartialEffectSpec,
     build_covariate_basis,
     build_outcome_basis,
-    design_row,
 )
 from .density_regression import (
     FittedDensityModel,
     ObservationTable,
     PooledHistogram,
-    bayes_loglik,
     bin_and_pool,
-    class_probabilities,
     fit,
     fit_smoothed,
-    fit_table,
-    multinomial_loglik,
-    predict_density,
     sample_theta,
 )
 from .counterfactual import (

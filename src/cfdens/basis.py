@@ -245,11 +245,6 @@ def build_covariate_basis(spec: PartialEffectSpec, training_values) -> Covariate
     )
 
 
-def covariate_row(covariate_bases: list[CovariateBasis], x: dict) -> np.ndarray:
-    """Concatenated covariate coefficients b(x) across all effects."""
-    return covariate_matrix(covariate_bases, {k: [v] for k, v in x.items()}, 1)[0]
-
-
 def covariate_matrix(covariate_bases: list[CovariateBasis], covariates: dict, n_rows: int):
     """The n_rows x d_x matrix B_x of rows b(x_i), from arrays of covariate values."""
     parts = []
@@ -259,18 +254,3 @@ def covariate_matrix(covariate_bases: list[CovariateBasis], covariates: dict, n_
             raise DataError(f"missing covariate '{name}'")
         parts.append(cb.evaluate_many(covariates.get(name, np.empty(n_rows))))
     return np.hstack(parts)
-
-
-def design_row(
-    covariate_bases: list[CovariateBasis],
-    outcome_basis: OutcomeBasis,
-    x: dict,
-) -> np.ndarray:
-    """Tensor-product design block for one covariate vector.
-
-    Row g is b(x) kron b_T(cell g); shape (n_cells, R) with
-    R = sum_j d_j * d_T.  The per-row reference of ``predict_density``.
-    """
-    bx = covariate_row(covariate_bases, x)
-    return np.kron(bx[None, :], outcome_basis.matrix)
-

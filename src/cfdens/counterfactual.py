@@ -82,9 +82,6 @@ class CovariateSample:
     def names(self) -> tuple[str, ...]:
         return tuple(sorted(self.covariates))
 
-    def row(self, i: int) -> dict:
-        return {k: v[i] for k, v in self.covariates.items()}
-
     def unique_rows(self, names=None) -> tuple[list[dict], np.ndarray]:
         """Distinct covariate combinations (over ``names``) with pooled weights."""
         names = self.names if names is None else tuple(names)

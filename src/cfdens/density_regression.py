@@ -25,9 +25,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import CovariateBasis, OutcomeBasis, build_covariate_basis, covariate_matrix, design_row
+from .basis import CovariateBasis, OutcomeBasis, build_covariate_basis, covariate_matrix
 from .errors import ConfigError, ConvergenceError, DataError, DomainError, NumericError
-from .measure_grid import GridDensity, GridSpec, density_from_clr_values
+from .measure_grid import GridSpec
 
 MAX_ITER = 100
 DEVIANCE_RTOL = 1e-8
@@ -90,11 +90,21 @@ class PooledHistogram:
     def n_combinations(self) -> int:
         return len(self.counts)
 
-    @property
-    def combinations(self) -> tuple[dict, ...]:
-        """One dict of covariate values per combination, read from ``columns``."""
-        return tuple({n: v[k] for n, v in self.columns.items()}
-                     for k in range(self.n_combinations))
+
+def _codes(column) -> list[tuple[np.ndarray, int]]:
+    """Integer columns, each with its bound L, whose lexicographic order is ``column``'s.
+
+    numpy orders unicode strings by their code points, padded with NUL, so a
+    unicode column gives one column per code-point position and needs no
+    string sort; any other column gives its ``np.unique`` codes.
+    """
+    column = np.asarray(column)
+    if column.dtype.kind == "U":
+        native = np.ascontiguousarray(column, dtype=column.dtype.newbyteorder("="))
+        points = native.view(np.uint32).reshape(len(column), -1)
+        return [(p, int(p.max(initial=0)) + 1) for p in points.T]
+    levels, codes = np.unique(column, return_inverse=True)
+    return [(codes.ravel(), len(levels))]
 
 
 def distinct_rows(covariates: dict, names, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,14 +112,14 @@ def distinct_rows(covariates: dict, names, n_rows: int) -> tuple[np.ndarray, np.
 
     Combinations come in the sorted order of their values, first name most
     significant, whatever the order of the rows.  Each step ranks the combined
-    codes ``inverse * L + codes`` by a sort.
+    codes ``inverse * L + codes`` of one column of ``_codes`` by a sort.
     """
     inverse, size = np.zeros(n_rows, dtype=np.intp), 1
     for n in names:
-        levels, codes = np.unique(covariates[n], return_inverse=True)
-        # recoding each time keeps the combined code below n_rows * L
-        unique, inverse = np.unique(inverse * len(levels) + codes.ravel(), return_inverse=True)
-        size = len(unique)
+        for codes, bound in _codes(covariates[n]):
+            # recoding each time keeps the combined code below n_rows * L
+            unique, inverse = np.unique(inverse * bound + codes, return_inverse=True)
+            size = len(unique)
     first = np.full(size, n_rows, dtype=np.intp)
     np.minimum.at(first, inverse, np.arange(n_rows))
     return first, inverse
@@ -210,59 +220,10 @@ def _normalise(eta: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndar
     return dens, top + np.log(norm)
 
 
-def class_probabilities(
-    theta: np.ndarray,
-    design_block: np.ndarray,
-    grid: GridSpec,
-) -> np.ndarray:
-    """Cell probabilities for one combination: width-weighted softmax."""
-    return _normalise((design_block @ theta)[None], grid.widths)[0][0] * grid.widths
-
-
-def multinomial_loglik(
-    theta: np.ndarray,
-    pooled: PooledHistogram,
-    covariate_bases,
-    outcome_basis: OutcomeBasis,
-) -> float:
-    """Grid-based (multinomial) log-likelihood, dropping the bin-width constants."""
-    bx = _pooled_matrix(pooled, covariate_bases)
-    return -0.5 * _deviance(_eta(bx, theta, outcome_basis.matrix), pooled)[1]
-
-
 def _deviance(eta: np.ndarray, pooled: PooledHistogram) -> tuple[np.ndarray, float]:
     """The densities of the rows of ``eta`` and the deviance -2 loglik."""
     dens, lognorm = _normalise(eta, pooled.grid.widths)
     return dens, -2.0 * float(np.sum(pooled.counts * eta) - np.dot(pooled.totals, lognorm))
-
-
-def bayes_loglik(
-    theta: np.ndarray,
-    data: ObservationTable,
-    covariate_bases,
-    outcome_basis: OutcomeBasis,
-    quadrature_points: int = 10_000,
-) -> float:
-    """Bayes space log-likelihood with exact outcome evaluation.
-
-    The normalizing integral uses a fine midpoint quadrature independent of
-    the fitting grid; used for diagnostics, not for fitting.
-    """
-    grid = outcome_basis.grid
-    points, widths = list(grid.atom_locations), list(grid.widths[grid.n_continuous:])
-    if outcome_basis.interval is not None:
-        a, b = outcome_basis.interval
-        points[:0] = np.linspace(a, b, 2 * quadrature_points + 1)[1::2]
-        widths[:0] = [(b - a) / quadrature_points] * quadrature_points
-
-    bx = covariate_matrix(list(covariate_bases), data.covariates, len(data))
-    coef = bx @ theta.reshape(-1, outcome_basis.n_columns)
-    eta_y = np.sum(coef * outcome_basis.evaluate_many(data.outcomes), axis=1)
-    # rows in blocks, so the rows x quadrature-points array stays small
-    step, eval_basis = max(1, (1 << 20) // len(points)), outcome_basis.evaluate_many(points)
-    lognorm = [_normalise(coef[i: i + step] @ eval_basis.T, np.array(widths))[1]
-               for i in range(0, len(data), step)]
-    return float(data.weights @ (eta_y - np.concatenate(lognorm)))
 
 
 #: rows per block of the information product: a block's temporaries stay small
@@ -643,26 +604,6 @@ def fit_group(table: ObservationTable, effects,
     return fit_smoothed(pooled, bases, outcome_basis)
 
 
-def fit_table(
-    data: ObservationTable,
-    covariate_bases,
-    outcome_basis: OutcomeBasis,
-) -> FittedDensityModel:
-    """Convenience: bin, pool, and fit in one call."""
-    return fit(bin_and_pool(data, outcome_basis.grid), covariate_bases, outcome_basis)
-
-
-def predict_density(
-    model: FittedDensityModel,
-    x: dict,
-    theta: np.ndarray | None = None,
-) -> GridDensity:
-    """Conditional density at covariates ``x`` (optionally with other coefficients)."""
-    th = model.theta if theta is None else theta
-    eta = design_row(list(model.covariate_bases), model.outcome_basis, x) @ th
-    return density_from_clr_values(model.grid, eta)
-
-
 def predict_densities(
     model: FittedDensityModel,
     bx: np.ndarray,
@@ -670,8 +611,8 @@ def predict_densities(
 ) -> np.ndarray:
     """Conditional densities (I x n_cells), one per row of the I x d_x matrix B_x.
 
-    The array form of ``predict_density``: eta = B_x Theta B_T', with Theta
-    the coefficients as a d_x x d_T matrix, then a width-weighted softmax per
+    The package's one prediction path: eta = B_x Theta B_T', with Theta the
+    coefficients as a d_x x d_T matrix, then a width-weighted softmax per
     row.  A normaliser that is not finite and positive raises ``NumericError``.
     """
     th = model.theta if theta is None else theta

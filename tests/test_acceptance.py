@@ -16,7 +16,6 @@ from cfdens.basis import (
     PartialEffectSpec,
     build_covariate_basis,
     build_outcome_basis,
-    design_row,
 )
 from cfdens.cli import _fit_groups, main
 from cfdens.config import load_config
@@ -33,12 +32,7 @@ from cfdens.counterfactual import (
 from cfdens.dataio import read_curve_table
 from cfdens.density_regression import (
     ObservationTable,
-    bayes_loglik,
     bin_and_pool,
-    class_probabilities,
-    fit_table,
-    multinomial_loglik,
-    predict_density,
     sample_theta,
     wald_ellipsoid_radius,
 )
@@ -46,6 +40,16 @@ from cfdens.measure_grid import GridSpec, clr, clr_inverse, integrate, odot, opl
 from cfdens.sim_benchmark import DgpSpec, fit_bayes_group, run_study, simulate
 
 from conftest import UNIT_MEASURE, unit_grid
+from reference import (
+    bayes_loglik,
+    class_probabilities,
+    combinations,
+    design_row,
+    fit_table,
+    multinomial_loglik,
+    predict_density,
+    row,
+)
 from test_counterfactual import _sample, _two_binary_model
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -215,7 +219,7 @@ def test_criterion_5_saturated_oracle_equivalence():
     assert np.all(pooled.counts > 0), "oracle needs every histogram cell occupied"
     model = fit_table(table, cov_bases, basis)
 
-    blocks = np.stack([design_row(cov_bases, basis, c) for c in pooled.combinations])
+    blocks = np.stack([design_row(cov_bases, basis, c) for c in combinations(pooled)])
     hist_gap = 0.0
     for block, counts in zip(blocks, pooled.counts):
         probs = class_probabilities(model.theta, block, grid)
@@ -256,7 +260,7 @@ def test_criterion_6_marginal_effect_oracles():
                 num += s_rest.weights[i] * s_j.weights[k] * predict_density(model_num, x).values
         den = np.zeros(grid.n_cells)
         for i in range(len(s_den)):
-            den += s_den.weights[i] * predict_density(model_den, s_den.row(i)).values
+            den += s_den.weights[i] * predict_density(model_den, row(s_den, i)).values
         return num / den
 
     gap_ce = gap_de = 0.0

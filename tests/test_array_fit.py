@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from cfdens import density_regression
-from cfdens.basis import PartialEffectSpec, build_covariate_basis, build_outcome_basis, design_row
+from cfdens.basis import PartialEffectSpec, build_covariate_basis, build_outcome_basis
 from cfdens.config import load_config
 from cfdens.dataio import load_dataset
 from cfdens.density_regression import ObservationTable, bin_and_pool, fit, fit_group, fit_smoothed
@@ -23,12 +23,13 @@ from cfdens.measure_grid import GridSpec
 from cfdens.sim_benchmark import DgpSpec, fit_bayes_group, simulate
 
 from conftest import UNIT_MEASURE, unit_grid
+from reference import combinations, design_row
 
 
 def _reference_score_information(theta, pooled, covariate_bases, outcome_basis):
     widths = pooled.grid.widths
     score, info = np.zeros(len(theta)), np.zeros((len(theta), len(theta)))
-    for combo, counts, total in zip(pooled.combinations, pooled.counts, pooled.totals):
+    for combo, counts, total in zip(combinations(pooled), pooled.counts, pooled.totals):
         block = design_row(covariate_bases, outcome_basis, combo)
         eta = block @ theta
         probs = widths * np.exp(eta - eta.max())

@@ -31,14 +31,13 @@ from cfdens.density_regression import (
     ObservationTable,
     bin_and_pool,
     fit_smoothed,
-    fit_table,
-    predict_density,
     sample_theta,
 )
 from cfdens.errors import NumericError
 from cfdens.measure_grid import GridDensity, GridSpec
 
 from conftest import UNIT_MEASURE, unit_grid
+from reference import fit_table, predict_density, row
 
 ROOT = Path(__file__).resolve().parent.parent
 TINY = np.finfo(float).tiny
@@ -188,7 +187,7 @@ def _pairs_reference(model, sample_rest, sample_j, j_name):
     values = 0.0
     for i in range(len(sample_rest)):
         for k in range(len(sample_j)):
-            x = {**sample_rest.row(i), j_name: sample_j.covariates[j_name][k]}
+            x = {**row(sample_rest, i), j_name: sample_j.covariates[j_name][k]}
             values = values + (
                 sample_rest.weights[i] * sample_j.weights[k] * predict_density(model, x).values
             )

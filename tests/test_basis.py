@@ -9,13 +9,12 @@ from cfdens.basis import (
     _bspline_design,
     build_covariate_basis,
     build_outcome_basis,
-    covariate_row,
-    design_row,
 )
 from cfdens.errors import ConfigError, DataError
 from cfdens.measure_grid import GridSpec, ReferenceMeasure, integrate
 
 from conftest import UNIT_MEASURE, unit_grid
+from reference import covariate_row, design_row
 
 
 # ------------------------------------------------------------ outcome basis

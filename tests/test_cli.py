@@ -565,14 +565,14 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
         "print('scipy.stats' in sys.modules)\n"
         "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
         "from cfdens import (DgpSpec, GridSpec, ObservationTable, PartialEffectSpec,\n"
-        "    ReferenceMeasure, build_covariate_basis, build_outcome_basis, fit_table,\n"
+        "    ReferenceMeasure, bin_and_pool, build_covariate_basis, build_outcome_basis, fit,\n"
         "    sample_theta, true_counterfactual)\n"
         "measure = ReferenceMeasure(continuous_interval=(0.0, 1.0))\n"
         "grid = GridSpec.from_measure(measure, 10)\n"
         "basis = build_outcome_basis(measure, grid, spline_count=5, degree=2)\n"
         "intercept = [build_covariate_basis(PartialEffectSpec.intercept(), [None])]\n"
         "data = ObservationTable(np.linspace(0.05, 0.95, 40), {}, None)\n"
-        "sample_theta(fit_table(data, intercept, basis), 0.05, 3, 0)\n"
+        "sample_theta(fit(bin_and_pool(data, grid), intercept, basis), 0.05, 3, 0)\n"
         "print('scipy.stats' in sys.modules)\n"
         "true_counterfactual(DgpSpec(), 1, 0, grid)\n"
         "print([m for m in submodules if m in sys.modules])\n"
@@ -580,6 +580,33 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.splitlines() == ["False", "False", "[]", "False", "[]"]
+
+
+def test_the_per_row_reference_path_is_not_in_the_package():
+    # the per-row oracles and test-only helpers live in tests/reference.py
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = (
+        "import cfdens, cfdens.cli\n"
+        "from cfdens import basis, density_regression\n"
+        "owners = {\n"
+        "    'cfdens': (cfdens, ('design_row', 'covariate_row', 'predict_density',\n"
+        "        'class_probabilities', 'multinomial_loglik', 'bayes_loglik', 'fit_table')),\n"
+        "    'basis': (basis, ('design_row', 'covariate_row')),\n"
+        "    'density_regression': (density_regression, ('design_row', 'predict_density',\n"
+        "        'class_probabilities', 'multinomial_loglik', 'bayes_loglik', 'fit_table',\n"
+        "        'density_from_clr_values')),\n"
+        "    'PooledHistogram': (density_regression.PooledHistogram, ('combinations',)),\n"
+        "    'CovariateSample': (cfdens.CovariateSample, ('row',)),\n"
+        "}\n"
+        "for owner, (obj, names) in owners.items():\n"
+        "    print(owner, [n for n in names if hasattr(obj, n)])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "cfdens []", "basis []", "density_regression []", "PooledHistogram []",
+        "CovariateSample []",
+    ]
 
 
 def test_commands_leave_numpy_ma_unloaded(tmp_path):

@@ -25,8 +25,6 @@ from cfdens.density_regression import (
     ObservationTable,
     bin_and_pool,
     fit_smoothed,
-    fit_table,
-    predict_density,
     wald_ellipsoid_radius,
 )
 from cfdens.errors import ConfigError, StructuralError
@@ -40,6 +38,7 @@ from cfdens.sim_benchmark import (
 )
 
 from conftest import UNIT_MEASURE, beta_on_grid, unit_grid
+from reference import fit_table, predict_density, row
 
 
 def _saturated_binary_model(rng_seed=0, n_bins=10):
@@ -244,7 +243,7 @@ def test_ce_j_matches_brute_force_enumeration():
             num += s0.weights[i] * s1.weights[k] * predict_density(model, x).values
     den = np.zeros(grid.n_cells)
     for i in range(len(s0)):
-        den += s0.weights[i] * predict_density(model, s0.row(i)).values
+        den += s0.weights[i] * predict_density(model, row(s0, i)).values
     expected = num / den
     assert np.all(got.valid)
     assert np.max(np.abs(got.values - expected)) < 1e-10
@@ -264,7 +263,7 @@ def test_de_j_matches_brute_force_enumeration():
             num += s1.weights[i] * s0.weights[k] * predict_density(model1, x).values
     den = np.zeros(grid.n_cells)
     for i in range(len(s0)):
-        den += s0.weights[i] * predict_density(model0, s0.row(i)).values
+        den += s0.weights[i] * predict_density(model0, row(s0, i)).values
     expected = num / den
     assert np.all(got.valid)
     assert np.max(np.abs(got.values - expected)) < 1e-10

@@ -15,7 +15,6 @@ from cfdens.basis import (
     PartialEffectSpec,
     build_covariate_basis,
     build_outcome_basis,
-    covariate_row,
 )
 from cfdens import density_regression
 from cfdens.config import load_config
@@ -23,16 +22,11 @@ from cfdens.counterfactual import CovariateSample
 from cfdens.dataio import load_dataset
 from cfdens.density_regression import (
     ObservationTable,
-    bayes_loglik,
     bin_and_pool,
-    class_probabilities,
     difference_penalty,
     fit,
     fit_group,
     fit_smoothed,
-    fit_table,
-    multinomial_loglik,
-    predict_density,
     sample_theta,
     wald_ellipsoid_radius,
 )
@@ -41,6 +35,16 @@ from cfdens.measure_grid import GridDensity, GridSpec, ReferenceMeasure, integra
 from cfdens.sim_benchmark import DgpSpec, fit_bayes_group, simulate
 
 from conftest import UNIT_MEASURE, unit_grid
+from reference import (
+    bayes_loglik,
+    class_probabilities,
+    combinations,
+    covariate_row,
+    design_row,
+    fit_table,
+    multinomial_loglik,
+    predict_density,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -93,7 +97,7 @@ def test_bin_and_pool_splits_combinations():
     grid = unit_grid(10)
     pooled = bin_and_pool(_table([0.1, 0.1, 0.9], t=["a", "b", "a"]), grid)
     assert pooled.n_combinations == 2
-    totals = {tuple(c.items()): t for c, t in zip(pooled.combinations, pooled.totals)}
+    totals = {tuple(c.items()): t for c, t in zip(combinations(pooled), pooled.totals)}
     assert totals[(("t", "a"),)] == 2.0
     assert totals[(("t", "b"),)] == 1.0
 
@@ -155,12 +159,12 @@ def test_bin_and_pool_matches_per_row_loop(mixed_measure, mixed_grid):
     pooled = bin_and_pool(table(np.arange(n)), mixed_grid)
     permuted = bin_and_pool(table(rng.permutation(n)), mixed_grid)
     assert pooled.n_rows == permuted.n_rows == n
-    assert len(pooled.combinations) == len(reference)
-    assert [sorted(c.items()) for c in pooled.combinations] == [
-        sorted(c.items()) for c in permuted.combinations
+    assert len(combinations(pooled)) == len(reference)
+    assert [sorted(c.items()) for c in combinations(pooled)] == [
+        sorted(c.items()) for c in combinations(permuted)
     ]
     for combo, counts, total, permuted_counts in zip(
-        pooled.combinations, pooled.counts, pooled.totals, permuted.counts
+        combinations(pooled), pooled.counts, pooled.totals, permuted.counts
     ):
         expected = reference[tuple(sorted(combo.items()))]
         # the same rows are added in the same order
@@ -175,7 +179,7 @@ def test_pooled_columns_hold_each_combination():
     treated, _ = load_dataset(ROOT / config.data_path, config)
     pooled = bin_and_pool(treated, GridSpec.from_measure(config.measure, config.n_bins))
     assert list(pooled.columns) == ["age", "edu"]
-    for k, combination in enumerate(pooled.combinations):
+    for k, combination in enumerate(combinations(pooled)):
         assert combination == {n: column[k] for n, column in pooled.columns.items()}
     distinct = set(zip(treated.covariates["age"].tolist(), treated.covariates["edu"].tolist()))
     assert sorted(zip(*(c.tolist() for c in pooled.columns.values()))) == sorted(distinct)
@@ -183,7 +187,7 @@ def test_pooled_columns_hold_each_combination():
              for spec in config.effects]
     # one row at a time, the smooth's matrix product may round differently
     np.testing.assert_allclose(density_regression._pooled_matrix(pooled, bases),
-                               np.stack([covariate_row(bases, c) for c in pooled.combinations]),
+                               np.stack([covariate_row(bases, c) for c in combinations(pooled)]),
                                rtol=0, atol=1e-14)
 
 
@@ -237,6 +241,28 @@ def test_distinct_rows_matches_sorting_each_step(n):
         first, inverse = density_regression.distinct_rows(columns, names, n)
         ref_first, ref_inverse = _distinct_rows_by_sorting(columns, names, n)
         assert first.dtype == ref_first.dtype and inverse.dtype == ref_inverse.dtype
+        assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
+
+
+def test_distinct_rows_ranks_unicode_columns_as_a_string_sort():
+    # code points of every width, the empty string, an embedded NUL and an
+    # astral character, against one np.unique of each whole column
+    words = np.array(["", "a", "ab", "a\x00b", "b", "é", "日本", "日", "\U0001d11e", "zz"])
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 80))
+        pool = words[rng.permutation(len(words))[: int(rng.integers(1, len(words) + 1))]]
+        wide = pool[rng.integers(0, len(pool), 2 * n)]
+        columns = {
+            "s": pool[rng.integers(0, len(pool), n)],
+            "r": wide[::-2],  # a reversed, non-contiguous view
+            "w": pool[rng.integers(0, len(pool), n)].astype("<U6"),
+            "b": pool[rng.integers(0, len(pool), n)].astype(">U3"),
+            "f": rng.normal(size=n).round(int(rng.integers(0, 2))),
+        }
+        names = list(rng.permutation(list(columns)))[: int(rng.integers(1, len(columns) + 1))]
+        first, inverse = density_regression.distinct_rows(columns, names, n)
+        ref_first, ref_inverse = _distinct_rows_by_sorting(columns, names, n)
         assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
 
 
@@ -311,9 +337,8 @@ def test_fit_saturated_binary_matches_per_group_histograms():
     table = _table(outcomes, t=t)
     model = fit_table(table, _binary_bases(t), basis)
     pooled = bin_and_pool(table, grid)
-    from cfdens.basis import design_row
 
-    for combo, counts in zip(pooled.combinations, pooled.counts):
+    for combo, counts in zip(combinations(pooled), pooled.counts):
         assert np.all(counts > 0), "saturated check needs every cell occupied"
         block = design_row(list(model.covariate_bases), basis, combo)
         probs = class_probabilities(model.theta, block, grid)
@@ -332,10 +357,8 @@ def test_fit_matches_direct_multinomial_maximizer():
     model = fit_table(table, cov_bases, basis)
     pooled = bin_and_pool(table, grid)
 
-    from cfdens.basis import design_row
-
     blocks = np.stack(
-        [design_row(cov_bases, basis, c) for c in pooled.combinations]
+        [design_row(cov_bases, basis, c) for c in combinations(pooled)]
     )
 
     def negll(theta):
