@@ -91,35 +91,19 @@ class PooledHistogram:
         return len(self.counts)
 
 
-def _codes(column) -> list[tuple[np.ndarray, int]]:
-    """Integer columns, each with its bound L, whose lexicographic order is ``column``'s.
-
-    numpy orders unicode strings by their code points, padded with NUL, so a
-    unicode column gives one column per code-point position and needs no
-    string sort; any other column gives its ``np.unique`` codes.
-    """
-    column = np.asarray(column)
-    if column.dtype.kind == "U":
-        native = np.ascontiguousarray(column, dtype=column.dtype.newbyteorder("="))
-        points = native.view(np.uint32).reshape(len(column), -1)
-        return [(p, int(p.max(initial=0)) + 1) for p in points.T]
-    levels, codes = np.unique(column, return_inverse=True)
-    return [(codes.ravel(), len(levels))]
-
-
 def distinct_rows(covariates: dict, names, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The first row of each distinct combination over ``names``, and each row's combination.
 
     Combinations come in the sorted order of their values, first name most
     significant, whatever the order of the rows.  Each step ranks the combined
-    codes ``inverse * L + codes`` of one column of ``_codes`` by a sort.
+    codes ``inverse * L + codes`` by a sort.
     """
     inverse, size = np.zeros(n_rows, dtype=np.intp), 1
     for n in names:
-        for codes, bound in _codes(covariates[n]):
-            # recoding each time keeps the combined code below n_rows * L
-            unique, inverse = np.unique(inverse * bound + codes, return_inverse=True)
-            size = len(unique)
+        levels, codes = np.unique(covariates[n], return_inverse=True)
+        # recoding each time keeps the combined code below n_rows * L
+        unique, inverse = np.unique(inverse * len(levels) + codes.ravel(), return_inverse=True)
+        size = len(unique)
     first = np.full(size, n_rows, dtype=np.intp)
     np.minimum.at(first, inverse, np.arange(n_rows))
     return first, inverse

@@ -2,22 +2,22 @@
 
 The package predicts in one array form, eta = B_x Theta B_T'.  The functions
 here build the same quantities one covariate combination at a time, from the
-Kronecker design block b(x) kron B_T, and serve the tests as independent
-oracles for that form.  No command imports this module.
+Kronecker design block b(x) kron B_T, and normalise with their own
+width-weighted softmax, so they serve the tests as oracles for that form that
+share none of its private helpers.  No command imports this module.
 """
 
 import numpy as np
 
 from cfdens.basis import covariate_matrix
-from cfdens.density_regression import (
-    _deviance,
-    _eta,
-    _normalise,
-    _pooled_matrix,
-    bin_and_pool,
-    fit,
-)
+from cfdens.density_regression import bin_and_pool, fit
 from cfdens.measure_grid import density_from_clr_values
+
+
+def _log_normaliser(eta, widths) -> np.ndarray:
+    """log sum_g widths_g exp(eta_g) along the last axis of ``eta``."""
+    top = eta.max(axis=-1)
+    return top + np.log(np.exp(eta - top[..., None]) @ widths)
 
 
 def covariate_row(covariate_bases, x: dict) -> np.ndarray:
@@ -60,13 +60,16 @@ def predict_density(model, x: dict, theta=None):
 
 def class_probabilities(theta, design_block, grid) -> np.ndarray:
     """Cell probabilities for one combination: width-weighted softmax."""
-    return _normalise((design_block @ theta)[None], grid.widths)[0][0] * grid.widths
+    eta = design_block @ theta
+    return grid.widths * np.exp(eta - _log_normaliser(eta, grid.widths))
 
 
 def multinomial_loglik(theta, pooled, covariate_bases, outcome_basis) -> float:
     """Grid-based (multinomial) log-likelihood, dropping the bin-width constants."""
-    bx = _pooled_matrix(pooled, covariate_bases)
-    return -0.5 * _deviance(_eta(bx, theta, outcome_basis.matrix), pooled)[1]
+    eta = np.array([design_row(covariate_bases, outcome_basis, x) @ theta
+                    for x in combinations(pooled)])
+    return float(np.sum(pooled.counts * eta)
+                 - pooled.totals @ _log_normaliser(eta, pooled.grid.widths))
 
 
 def bayes_loglik(theta, data, covariate_bases, outcome_basis,
@@ -88,6 +91,6 @@ def bayes_loglik(theta, data, covariate_bases, outcome_basis,
     eta_y = np.sum(coef * outcome_basis.evaluate_many(data.outcomes), axis=1)
     # rows in blocks, so the rows x quadrature-points array stays small
     step, eval_basis = max(1, (1 << 20) // len(points)), outcome_basis.evaluate_many(points)
-    lognorm = [_normalise(coef[i: i + step] @ eval_basis.T, np.array(widths))[1]
+    lognorm = [_log_normaliser(coef[i: i + step] @ eval_basis.T, np.array(widths))
                for i in range(0, len(data), step)]
     return float(data.weights @ (eta_y - np.concatenate(lognorm)))

@@ -232,7 +232,7 @@ def _random_columns(rng, n):
     }
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 60, 400])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 60, 400])
 def test_distinct_rows_matches_sorting_each_step(n):
     rng = np.random.default_rng(n)
     for _ in range(40):
@@ -241,28 +241,6 @@ def test_distinct_rows_matches_sorting_each_step(n):
         first, inverse = density_regression.distinct_rows(columns, names, n)
         ref_first, ref_inverse = _distinct_rows_by_sorting(columns, names, n)
         assert first.dtype == ref_first.dtype and inverse.dtype == ref_inverse.dtype
-        assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
-
-
-def test_distinct_rows_ranks_unicode_columns_as_a_string_sort():
-    # code points of every width, the empty string, an embedded NUL and an
-    # astral character, against one np.unique of each whole column
-    words = np.array(["", "a", "ab", "a\x00b", "b", "é", "日本", "日", "\U0001d11e", "zz"])
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        n = int(rng.integers(1, 80))
-        pool = words[rng.permutation(len(words))[: int(rng.integers(1, len(words) + 1))]]
-        wide = pool[rng.integers(0, len(pool), 2 * n)]
-        columns = {
-            "s": pool[rng.integers(0, len(pool), n)],
-            "r": wide[::-2],  # a reversed, non-contiguous view
-            "w": pool[rng.integers(0, len(pool), n)].astype("<U6"),
-            "b": pool[rng.integers(0, len(pool), n)].astype(">U3"),
-            "f": rng.normal(size=n).round(int(rng.integers(0, 2))),
-        }
-        names = list(rng.permutation(list(columns)))[: int(rng.integers(1, len(columns) + 1))]
-        first, inverse = density_regression.distinct_rows(columns, names, n)
-        ref_first, ref_inverse = _distinct_rows_by_sorting(columns, names, n)
         assert np.array_equal(first, ref_first) and np.array_equal(inverse, ref_inverse)
 
 
