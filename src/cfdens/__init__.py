@@ -23,6 +23,7 @@ from .basis import (
     build_outcome_basis,
 )
 from .density_regression import (
+    CovariateSample,
     FittedDensityModel,
     ObservationTable,
     PooledHistogram,
@@ -32,7 +33,6 @@ from .density_regression import (
     sample_theta,
 )
 from .counterfactual import (
-    CovariateSample,
     EffectBands,
     RatioFunction,
     counterfactual_density,

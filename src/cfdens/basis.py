@@ -33,6 +33,11 @@ class PartialEffectSpec:
         if self.kind == "categorical":
             if len(self.levels) < 2:
                 raise ConfigError(f"categorical '{self.covariate_name}' needs >= 2 levels")
+            for i, level in enumerate(self.levels):
+                if not level:
+                    raise ConfigError(f"categorical '{self.covariate_name}' lists an empty level")
+                if level in self.levels[:i]:
+                    raise ConfigError(f"categorical '{self.covariate_name}' lists {level!r} twice")
             if self.reference_level not in self.levels:
                 raise ConfigError(
                     f"reference level '{self.reference_level}' not among levels"

@@ -11,7 +11,7 @@ import numpy as np
 from . import __version__
 from .basis import build_outcome_basis
 from .config import RunConfig, load_config
-from .counterfactual import CovariateSample, counterfactual_density, effect_bands
+from .counterfactual import counterfactual_density, effect_bands
 from .dataio import density_curve, load_dataset, ratio_curves, write_curve_table
 from .density_regression import fit_group
 from .errors import ConfigError
@@ -39,7 +39,7 @@ def _fit_groups(config: RunConfig):
                                         config.basis_degree)
     models = {label: fit_group(table, config.effects, outcome_basis)
               for label, table in tables.items()}
-    samples = {label: CovariateSample.from_table(table) for label, table in tables.items()}
+    samples = {label: table.sample for label, table in tables.items()}
     return models, samples, grid
 
 

@@ -108,6 +108,8 @@ FIELDS = {
 }
 #: the other keys, besides ``effect.<covariate>``
 OTHER_KEYS = frozenset({"measure.interval", "measure.atoms", "penalty"})
+#: effect kind -> the arguments it takes
+EFFECT_ARGUMENTS = {"categorical": ("levels", "reference"), "smooth": ("count", "degree")}
 
 
 def _value(key: str, text: str, kind):
@@ -144,25 +146,29 @@ def _parse_effect(name: str, text: str) -> PartialEffectSpec:
     if not m:
         raise ConfigError(f"cannot parse effect '{name}': {text}")
     kind, argstr = m.group(1), m.group(2) or ""
+    if kind not in EFFECT_ARGUMENTS:
+        raise ConfigError(f"effect '{name}': unknown kind '{kind}'")
     args = {}
     for part in filter(None, (p.strip() for p in argstr.split(","))):
         if "=" not in part:
             raise ConfigError(f"effect '{name}': bad argument '{part}'")
-        k, v = part.split("=", 1)
-        args[k.strip()] = v.strip()
+        k, v = (s.strip() for s in part.split("=", 1))
+        if k not in EFFECT_ARGUMENTS[kind]:
+            raise ConfigError(f"effect '{name}': {kind} has no argument '{k}'")
+        if k in args:
+            raise ConfigError(f"effect '{name}': argument '{k}' given twice")
+        args[k] = v
     if kind == "categorical":
         if "levels" not in args or "reference" not in args:
             raise ConfigError(f"effect '{name}': categorical needs levels and reference")
         return PartialEffectSpec.categorical(
             name, args["levels"].split("|"), args["reference"]
         )
-    if kind == "smooth":
-        return PartialEffectSpec.smooth(
-            name,
-            knot_count=_value(f"effect.{name} count", args.get("count", "9"), int),
-            degree=_value(f"effect.{name} degree", args.get("degree", "3"), int),
-        )
-    raise ConfigError(f"effect '{name}': unknown kind '{kind}'")
+    return PartialEffectSpec.smooth(
+        name,
+        knot_count=_value(f"effect.{name} count", args.get("count", "9"), int),
+        degree=_value(f"effect.{name} degree", args.get("degree", "3"), int),
+    )
 
 
 def parse_config(text: str) -> RunConfig:
@@ -178,9 +184,10 @@ def parse_config(text: str) -> RunConfig:
     if "measure.atoms" in kv and kv["measure.atoms"]:
         for part in kv["measure.atoms"].split(","):
             bits = part.strip().split(":")
-            loc = _value("measure.atoms", bits[0], float)
-            weight = _value("measure.atoms", bits[1], float) if len(bits) > 1 else 1.0
-            atoms.append((loc, weight))
+            if len(bits) > 2:
+                raise ConfigError(f"measure.atoms: '{part.strip()}' is not location:weight")
+            loc, *weight = (_value("measure.atoms", bit, float) for bit in bits)
+            atoms.append((loc, weight[0] if weight else 1.0))
     measure = ReferenceMeasure(continuous_interval=interval, atoms=tuple(atoms))
 
     effects = [PartialEffectSpec.intercept()]

@@ -14,8 +14,8 @@ import numpy as np
 
 from .basis import covariate_matrix
 from .density_regression import (
+    CovariateSample,
     FittedDensityModel,
-    cached_distinct_rows,
     predict_densities,
     sample_theta,
 )
@@ -41,61 +41,6 @@ EFFECTS = {
     "de": ("f11", "f01"), "ce": ("f01", "f00"), "te": ("f11", "f00"),
     "ce_j": ("f0(0x1)", "f00"), "de_j": ("f1(1x0)", "f00"),
 }
-
-
-@dataclass(frozen=True)
-class CovariateSample:
-    """Weighted covariate vectors from one group (empirical distribution).
-
-    The distinct covariate combinations are computed once per tuple of names
-    and cached, so the covariate arrays must not be mutated after
-    construction.
-    """
-
-    covariates: dict[str, np.ndarray]
-    weights: np.ndarray
-    _distinct: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        covs = {k: np.asarray(v) for k, v in self.covariates.items()}
-        object.__setattr__(self, "covariates", covs)
-        weights = np.asarray(self.weights, dtype=float)
-        if not np.all(np.isfinite(weights) & (weights > 0)):
-            raise StructuralError("sample weights must be finite and positive")
-        object.__setattr__(self, "weights", weights / weights.sum())
-        n = len(weights)
-        for name, v in covs.items():
-            if len(v) != n:
-                raise StructuralError(f"covariate '{name}' length mismatch")
-
-    @classmethod
-    def from_table(cls, table) -> "CovariateSample":
-        """The table's rows; the sample shares the table's cache of combinations."""
-        sample = cls(covariates=dict(table.covariates), weights=table.weights.copy())
-        object.__setattr__(sample, "_distinct", table._distinct)
-        return sample
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.covariates))
-
-    def unique_rows(self, names=None) -> tuple[list[dict], np.ndarray]:
-        """Distinct covariate combinations (over ``names``) with pooled weights."""
-        names = self.names if names is None else tuple(names)
-        first, weights = self.pooled(names)
-        return [{n: self.covariates[n][i] for n in names} for i in first], weights
-
-    def pooled(self, names) -> tuple[np.ndarray, np.ndarray]:
-        """One row index per distinct combination over ``names``, and pooled weights.
-
-        Combinations are ordered by their integer codes; each pooled weight
-        adds its rows' weights in row order.
-        """
-        first, inverse = cached_distinct_rows(self._distinct, self.covariates, names, len(self))
-        return first, np.bincount(inverse, weights=self.weights)
 
 
 @dataclass(frozen=True)

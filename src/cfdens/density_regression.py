@@ -26,7 +26,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import CovariateBasis, OutcomeBasis, build_covariate_basis, covariate_matrix
-from .errors import ConfigError, ConvergenceError, DataError, DomainError, NumericError
+from .errors import (ConfigError, ConvergenceError, DataError, DomainError, NumericError,
+                     StructuralError)
 from .measure_grid import GridSpec
 
 MAX_ITER = 100
@@ -34,27 +35,83 @@ DEVIANCE_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
-class ObservationTable:
-    """Rows (outcome, covariates, weight) for one treatment group.
+class CovariateSample:
+    """Weighted covariate vectors from one group (empirical distribution).
 
     The distinct covariate combinations are computed once per tuple of names
     and cached, so the covariate arrays must not be mutated after
     construction.
     """
 
+    covariates: dict[str, np.ndarray]
+    weights: np.ndarray
+    _distinct: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        covs = {k: np.asarray(v) for k, v in self.covariates.items()}
+        object.__setattr__(self, "covariates", covs)
+        weights = np.asarray(self.weights, dtype=float)
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise StructuralError("sample weights must be finite and positive")
+        object.__setattr__(self, "weights", weights / weights.sum())
+        n = len(weights)
+        for name, v in covs.items():
+            if len(v) != n:
+                raise StructuralError(f"covariate '{name}' length mismatch")
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(sorted(self.covariates))
+
+    def distinct_rows(self, names) -> tuple[np.ndarray, np.ndarray]:
+        """``distinct_rows`` over ``names``, computed once per tuple of names.
+
+        The cached arrays are read-only.
+        """
+        key = tuple(names)
+        if key not in self._distinct:
+            first, inverse = distinct_rows(self.covariates, key, len(self))
+            first.flags.writeable = inverse.flags.writeable = False
+            self._distinct[key] = first, inverse
+        return self._distinct[key]
+
+    def unique_rows(self, names=None) -> tuple[list[dict], np.ndarray]:
+        """Distinct covariate combinations (over ``names``) with pooled weights."""
+        names = self.names if names is None else tuple(names)
+        first, weights = self.pooled(names)
+        return [{n: self.covariates[n][i] for n in names} for i in first], weights
+
+    def pooled(self, names) -> tuple[np.ndarray, np.ndarray]:
+        """One row index per distinct combination over ``names``, and pooled weights.
+
+        Combinations are ordered by their integer codes; each pooled weight
+        adds its rows' weights in row order.
+        """
+        first, inverse = self.distinct_rows(names)
+        return first, np.bincount(inverse, weights=self.weights)
+
+
+@dataclass(frozen=True)
+class ObservationTable:
+    """Rows (outcome, covariates, weight) for one treatment group.
+
+    ``sample`` holds the covariate rows and weights and ranks their combinations.
+    """
+
     outcomes: np.ndarray
     covariates: dict[str, np.ndarray]
     weights: np.ndarray
     group: str = ""
-    _distinct: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    sample: CovariateSample = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         outcomes = np.asarray(self.outcomes, dtype=float)
         object.__setattr__(self, "outcomes", outcomes)
         n = len(outcomes)
-        covs = {k: np.asarray(v) for k, v in self.covariates.items()}
-        object.__setattr__(self, "covariates", covs)
-        for name, v in covs.items():
+        for name, v in self.covariates.items():
             if len(v) != n:
                 raise DataError(f"covariate '{name}' has {len(v)} rows, expected {n}")
         weights = np.ones(n) if self.weights is None else np.asarray(self.weights, dtype=float)
@@ -62,14 +119,13 @@ class ObservationTable:
             raise DataError("weights length does not match outcomes")
         if not np.all(np.isfinite(weights) & (weights > 0)):
             raise DataError("weights must be finite and positive")
+        sample = CovariateSample(self.covariates, weights)
+        object.__setattr__(self, "covariates", sample.covariates)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "sample", sample)
 
     def __len__(self) -> int:
         return len(self.outcomes)
-
-    def distinct_rows(self, names) -> tuple[np.ndarray, np.ndarray]:
-        """``distinct_rows`` of this table over ``names``, from the cache."""
-        return cached_distinct_rows(self._distinct, self.covariates, names, len(self))
 
 
 @dataclass(frozen=True)
@@ -109,20 +165,6 @@ def distinct_rows(covariates: dict, names, n_rows: int) -> tuple[np.ndarray, np.
     return first, inverse
 
 
-def cached_distinct_rows(cache: dict, covariates: dict, names,
-                         n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """``distinct_rows`` over ``names``, computed once per ``cache`` and tuple of names.
-
-    The cached arrays are read-only.
-    """
-    key = tuple(names)
-    if key not in cache:
-        first, inverse = distinct_rows(covariates, key, n_rows)
-        first.flags.writeable = inverse.flags.writeable = False
-        cache[key] = first, inverse
-    return cache[key]
-
-
 def bin_and_pool(data: ObservationTable, grid: GridSpec) -> PooledHistogram:
     """Bin outcomes on the grid and pool rows sharing a covariate combination.
 
@@ -134,7 +176,7 @@ def bin_and_pool(data: ObservationTable, grid: GridSpec) -> PooledHistogram:
         i = int(np.argmax(cells < 0))
         raise DataError(f"row {i}: {grid.domain_error(float(data.outcomes[i]))}")
     names = sorted(data.covariates)
-    first, inverse = data.distinct_rows(names)
+    first, inverse = data.sample.distinct_rows(names)
     counts = np.bincount(inverse * grid.n_cells + cells, weights=data.weights,
                          minlength=len(first) * grid.n_cells).reshape(len(first), grid.n_cells)
     return PooledHistogram(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import PartialEffectSpec, build_outcome_basis, covariate_matrix
-from .counterfactual import AVERAGES, CovariateSample
+from .counterfactual import AVERAGES
 from .density_regression import FittedDensityModel, ObservationTable, fit_group, predict_densities
 from .errors import ConfigError, DataError, DomainError
 from .measure_grid import GridDensity, GridSpec, ReferenceMeasure, tv_distance
@@ -178,7 +178,7 @@ def kde_density(samples: np.ndarray, grid: GridSpec, bandwidth: float | None = N
 def kde_conditional(data: ObservationTable, grid: GridSpec) -> dict[tuple, GridDensity]:
     """Per-covariate-cell KDE over the table's distinct covariate combinations."""
     names = sorted(data.covariates)
-    first, inverse = data.distinct_rows(names)
+    first, inverse = data.sample.distinct_rows(names)
     out = {}
     for k, i in enumerate(first):
         key = tuple((n, data.covariates[n][i]) for n in names)
@@ -254,7 +254,7 @@ def _cell_densities(est, data, grid, spline_count, degree) -> np.ndarray:
 
 def _cell_weights(data: ObservationTable) -> tuple[np.ndarray, np.ndarray]:
     """The table's non-empty cells and their weights from ``CovariateSample.pooled``."""
-    first, weights = CovariateSample.from_table(data).pooled(COVARIATE_NAMES)
+    first, weights = data.sample.pooled(COVARIATE_NAMES)
     cells = sum((data.covariates[n][first] == "2") * (4 >> k)
                 for k, n in enumerate(COVARIATE_NAMES))
     return cells, weights

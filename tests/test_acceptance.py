@@ -20,7 +20,6 @@ from cfdens.basis import (
 from cfdens.cli import _fit_groups, main
 from cfdens.config import load_config
 from cfdens.counterfactual import (
-    CovariateSample,
     counterfactual_density,
     covariate_effect,
     distribution_effect,
@@ -168,8 +167,8 @@ def test_criterion_4_identity_suite():
     data1 = simulate(spec, 1, 1000, seed=90)
     data0 = simulate(spec, 0, 1000, seed=91)
     model1, model0 = fit_bayes_group(data1, grid), fit_bayes_group(data0, grid)
-    s1 = CovariateSample.from_table(data1)
-    s0 = CovariateSample.from_table(data0)
+    s1 = data1.sample
+    s0 = data0.sample
     f11 = counterfactual_density(model1, s1)
     f01 = counterfactual_density(model0, s1)
     f00 = counterfactual_density(model0, s0)

@@ -105,7 +105,7 @@ def bundled():
             for s in config.effects
         ]
         models.append(fit_smoothed(bin_and_pool(table, grid), cov_bases, outcome_basis))
-    samples = (CovariateSample.from_table(treated), CovariateSample.from_table(control))
+    samples = (treated.sample, control.sample)
     return tuple(models), samples, grid
 
 

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from cfdens import counterfactual
 from cfdens.cli import _fit_groups, main
-from cfdens.config import load_config, parse_config
+from cfdens.config import FIELDS, OTHER_KEYS, load_config, parse_config
 from cfdens.dataio import (
     format_curve_table,
     load_dataset,
@@ -125,6 +126,13 @@ def test_readme_config_example_parses():
     assert cfg.marginal_covariates == ["edu", "age"]
 
 
+def test_readme_names_every_config_key():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [key for key in [*FIELDS, *OTHER_KEYS]
+               if not re.search(rf"(?<![\w.]){re.escape(key)}(?![\w.])", readme)]
+    assert missing == []
+
+
 def test_every_shipped_config_loads():
     paths = sorted(ROOT.glob("configs/*.cfg")) + sorted(ROOT.glob("bench/configs/*.cfg"))
     assert len(paths) >= 5
@@ -173,8 +181,19 @@ def test_parse_config_rejects_a_marginal_covariate_that_is_repeated_or_not_an_ef
     ("simulate.n = 200, 200", "^simulate.n lists 200 twice$"),
     ("simulate.n = 100, 0", "^simulate.n: 0 is not positive$"),
     ("simulate.n = -5", "^simulate.n: -5 is not positive$"),
+    # any key's line can stand in for the one that sets it
+    ("effect.age = smooth(cout=5, degre=1)", "^effect 'age': smooth has no argument 'cout'$"),
+    ("effect.edu = categorical(levels=low|mid|high, ref=low)",
+     "^effect 'edu': categorical has no argument 'ref'$"),
+    ("effect.age = smooth(count=9, count=5)", "^effect 'age': argument 'count' given twice$"),
+    ("effect.edu = categorical(levels=low|mid|high|high, reference=low)",
+     "^categorical 'edu' lists 'high' twice$"),
+    ("effect.edu = categorical(levels=low||high, reference=low)",
+     "^categorical 'edu' lists an empty level$"),
+    ("measure.atoms = 0:1:7, 10000:1", "^measure.atoms: '0:1:7' is not location:weight$"),
 ], ids=["estimator-twice", "estimator-twice-apart", "unknown-estimator", "n-twice", "n-zero",
-        "n-negative"])
+        "n-negative", "effect-unknown-argument", "effect-unknown-categorical-argument",
+        "effect-argument-twice", "level-twice", "level-empty", "atom-two-colons"])
 def test_parse_config_rejects_a_repeated_or_invalid_simulate_item(line, message):
     key = line.split(" = ")[0]
     text = "\n".join(line if l.startswith(key + " =") else l for l in SMALL_CONFIG.splitlines())

@@ -169,7 +169,7 @@ def test_counterfactual_close_to_analytic_mixture():
     data0 = simulate(spec, 0, 20_000, seed=31)
     grid = unit_grid(50)
     model1 = fit_bayes_group(data1, grid)
-    sample0 = CovariateSample.from_table(data0)
+    sample0 = data0.sample
     f10 = counterfactual_density(model1, sample0)
     assert tv_distance(f10, true_counterfactual(spec, 1, 0, grid)) < 0.03
 
@@ -329,7 +329,7 @@ def _band_inputs():
     data0 = simulate(spec, 0, 1500, seed=51)
     grid = unit_grid(25)
     models = (fit_bayes_group(data1, grid), fit_bayes_group(data0, grid))
-    samples = (CovariateSample.from_table(data1), CovariateSample.from_table(data0))
+    samples = (data1.sample, data0.sample)
     return models, samples, grid
 
 
@@ -397,7 +397,7 @@ def test_de_band_spread_covers_truth_at_grid_median():
         data1 = simulate(spec, 1, 5000, seed=700_000 + rep)
         data0 = simulate(spec, 0, 5000, seed=800_000 + rep)
         models = (fit_bayes_group(data1, grid), fit_bayes_group(data0, grid))
-        samples = (CovariateSample.from_table(data1), CovariateSample.from_table(data0))
+        samples = (data1.sample, data0.sample)
         de = ("de", None)
         bands = effect_bands(models, samples, [de], alpha=0.05, B=100, seed=rep)[de]
         vals = [d.values[mid] for d in bands.draws if d.valid[mid]]

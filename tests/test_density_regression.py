@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,7 +18,6 @@ from cfdens.basis import (
 )
 from cfdens import density_regression
 from cfdens.config import load_config
-from cfdens.counterfactual import CovariateSample
 from cfdens.dataio import load_dataset
 from cfdens.density_regression import (
     ObservationTable,
@@ -265,17 +264,24 @@ def test_table_pools_its_combinations_once_and_shares_them_with_its_sample(monke
                         lambda *args: calls.append(args[1]) or distinct_rows(*args))
     rng = np.random.default_rng(4)
     table = ObservationTable(rng.uniform(size=50), _random_columns(rng, 50), None)
-    first, inverse = table.distinct_rows(["s", "i"])
-    assert table.distinct_rows(("s", "i"))[1] is inverse
-    sample = CovariateSample.from_table(table)
+    sample = table.sample
+    first, inverse = sample.distinct_rows(["s", "i"])
+    assert sample.distinct_rows(("s", "i"))[1] is inverse
     assert sample.pooled(["s", "i"])[0] is first
-    assert calls == [("s", "i")]
+    # binning ranks the rows over the sorted names once, for the sample too
+    names = sorted(table.covariates)
+    pooled = bin_and_pool(table, unit_grid(5))
+    rows = sample.distinct_rows(names)[0]
+    assert all(np.array_equal(pooled.columns[n], table.covariates[n][rows]) for n in names)
+    assert calls == [("s", "i"), tuple(names)]
     with pytest.raises(ValueError):
         inverse[0] = 1  # cached arrays are read-only
-    table.distinct_rows(["i", "s"])
-    assert calls == [("s", "i"), ("i", "s")]
-    # the cache is not part of a table's value
+    sample.distinct_rows(["i", "s"])
+    assert calls == [("s", "i"), tuple(names), ("i", "s")]
+    # the cache is part of neither the table's value nor the sample's
     assert "_distinct" not in repr(table) and table == replace(table)
+    assert "_distinct" not in repr(sample)
+    assert [f.name for f in fields(sample) if f.compare] == ["covariates", "weights"]
 
 
 # ---------------------------------------------------- class probabilities

@@ -395,11 +395,10 @@ def test_run_study_is_unchanged_without_the_cache(monkeypatch, tmp_path):
     kwargs = dict(n_values=[500, 2000], replications=2, seed=11)
     cached = run_study(DgpSpec(), **kwargs).to_table()
 
-    def uncached(cache, covariates, names, n_rows):
-        return density_regression.distinct_rows(covariates, tuple(names), n_rows)
+    def uncached(sample, names):
+        return density_regression.distinct_rows(sample.covariates, tuple(names), len(sample))
 
-    for module in (density_regression, counterfactual):
-        monkeypatch.setattr(module, "cached_distinct_rows", uncached)
+    monkeypatch.setattr(density_regression.CovariateSample, "distinct_rows", uncached)
     recorded = _count_distinct_rows(monkeypatch, tmp_path / "calls")
     assert run_study(DgpSpec(), **kwargs).to_table() == cached
     calls = recorded()
@@ -440,7 +439,7 @@ def test_bayes_study_counterfactuals_are_counterfactual_density(monkeypatch, n, 
     f, _, datas, models = _scored(monkeypatch, "bayes", n, seed)
     for tgt, values in f.items():
         k, l, _ = counterfactual.AVERAGES[tgt]
-        sample = counterfactual.CovariateSample.from_table(datas[l])
+        sample = datas[l].sample
         want = counterfactual.counterfactual_density(models[k], sample).values
         if l == 0 and empty:
             # counterfactual_density predicts the seven cells present, and the BLAS
@@ -457,7 +456,7 @@ def _kde_counterfactuals_by_key(datas, grid):
     kdes, cell_w = {}, {}
     for g, data in datas.items():
         kdes[g] = kde_conditional(data, grid)
-        sample = counterfactual.CovariateSample.from_table(data)
+        sample = data.sample
         first, wts = sample.pooled(sim_benchmark.COVARIATE_NAMES)
         cell_w[g] = {tuple((n, sample.covariates[n][i]) for n in sim_benchmark.COVARIATE_NAMES): w
                      for i, w in zip(first, wts)}
