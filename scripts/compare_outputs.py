@@ -9,8 +9,10 @@ over the numeric fields at the same row and position, the number of rows
 whose ``valid_flag`` changed, and the number of other fields that differ as
 text.  Fields are split at commas, ``=`` and whitespace, so the same
 comparison covers the long-format CSVs, ``mc_report.csv`` and the
-``key = value`` lines of ``model_*.txt``.  The exit status is 0 when every
-file is byte-identical and 1 otherwise.
+``key = value`` lines of ``model_*.txt``.  A last ``total`` line gives the
+files compared, the files that differ, the largest relative gap over all
+files and the changed ``valid_flag`` rows over all files.  The exit status
+is 0 when every file is byte-identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ def _gap(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def compare_text(text_a: str, text_b: str) -> str:
-    """The summary of how two differing files differ."""
+def compare_text(text_a: str, text_b: str) -> tuple[str, float, int]:
+    """The summary of how two differing files differ, their largest gap and changed flags."""
     lines_a, lines_b = text_a.splitlines(), text_b.splitlines()
     header = FIELD.findall(lines_a[0]) if lines_a else []
     flag = header.index("valid_flag") if "valid_flag" in header else None
@@ -59,26 +61,28 @@ def compare_text(text_a: str, text_b: str) -> str:
             else:
                 texts += 1
     return (f"rows {len(lines_a)}/{len(lines_b)}, max rel gap {gap:.3g}, "
-            f"valid_flag changed in {flags} rows, {texts} text fields differ")
+            f"valid_flag changed in {flags} rows, {texts} text fields differ"), gap, flags
 
 
 def compare_dirs(dir_a: Path, dir_b: Path) -> bool:
-    """Print one line per file; True when every file is byte-identical."""
+    """Print one line per file, then the totals; True when every file is byte-identical."""
     names = sorted({p.relative_to(d) for d in (dir_a, dir_b) for p in d.rglob("*") if p.is_file()})
-    identical = True
+    differ, gap, flags = 0, 0.0, 0
     for name in names:
         path_a, path_b = dir_a / name, dir_b / name
         if not (path_a.is_file() and path_b.is_file()):
             print(f"only in {dir_a if path_a.is_file() else dir_b}: {name}")
-            identical = False
+            differ += 1
         elif path_a.read_bytes() == path_b.read_bytes():
             print(f"same     {name}")
         else:
-            summary = compare_text(path_a.read_text(encoding="utf-8"),
-                                   path_b.read_text(encoding="utf-8"))
+            summary, file_gap, file_flags = compare_text(path_a.read_text(encoding="utf-8"),
+                                                         path_b.read_text(encoding="utf-8"))
             print(f"differs  {name}: {summary}")
-            identical = False
-    return identical
+            differ, gap, flags = differ + 1, max(gap, file_gap), flags + file_flags
+    print(f"total    {len(names)} files, {differ} differ, max rel gap {gap:.3g}, "
+          f"valid_flag changed in {flags} rows")
+    return differ == 0
 
 
 def main(argv=None) -> int:

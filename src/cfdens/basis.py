@@ -238,6 +238,8 @@ def build_covariate_basis(spec: PartialEffectSpec, training_values) -> Covariate
         return CovariateBasis(spec=spec, n_columns=len(spec.levels) - 1)
     vals = training_values.astype(float)
     lo, hi = float(vals.min()), float(vals.max())
+    if lo == hi:  # the B-splines over [lo, lo] are all zero
+        raise DataError(f"smooth covariate '{spec.covariate_name}' takes only the value {lo:g}")
     design = _bspline_design(vals, lo, hi, spec.knot_count, spec.degree)
     means = design.mean(axis=0)
     # orthonormal null space of the means: columns of B @ transform average to zero

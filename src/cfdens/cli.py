@@ -110,6 +110,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         config = load_config(args.config)
         seed = args.seed if args.seed is not None else config.seed
         out_dir = Path(args.out)

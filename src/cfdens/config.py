@@ -61,6 +61,8 @@ class RunConfig:
             raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
         if self.draws < 0:
             raise ConfigError("draws must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"uncertainty.seed must be >= 0, got {self.seed}")
         if (self.cap is None) != (self.cap_atom is None):
             raise ConfigError("measure.cap and measure.cap_atom must be set together")
         if self.cap_atom is not None and self.cap_atom not in self.measure.atom_locations:
@@ -206,5 +208,5 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_config(fh.read())

@@ -17,16 +17,16 @@ FLOAT_FMT = "%.17g"
 
 
 def load_dataset(path, config: RunConfig) -> tuple[ObservationTable, ObservationTable]:
-    """Read a headered CSV and split its rows into (treated, control) tables.
+    """Read a headered UTF-8 CSV and split its rows into (treated, control) tables.
 
-    Blank lines are skipped, and a row whose field count differs from the
-    header's is an error.  Each needed column is parsed once: the outcome,
-    the weight and every smooth covariate as finite float64, a categorical
-    covariate as strings.  Outcomes above the cap become the cap atom, and
-    every outcome must lie in a grid cell.  Every weight must be positive, and
-    no weight column means unit weights.
+    A leading byte-order mark and blank lines are skipped, and a row whose
+    field count differs from the header's is an error.  Each needed column is
+    parsed once: the outcome, the weight and every smooth covariate as finite
+    float64, a categorical covariate as strings.  Outcomes above the cap become
+    the cap atom, and every outcome must lie in a grid cell.  Every weight must
+    be positive, and no weight column means unit weights.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         rows = [row for row in reader if row]

@@ -410,42 +410,34 @@ def _select(info, b, lams, weights, ranks):
     return lams, target, False
 
 
-def _newton(theta0, pooled, bx, bt, penalty=None):
+def _newton(theta0, pooled, bx, bt, block):
     """Newton scoring on the penalized multinomial deviance, selecting its penalties.
 
-    ``penalty`` is None or (V, W): V an orthogonal d_T x d_T matrix and W a
-    J x d_T array of nonnegative rows.  The objective is then
-    ``-2 loglik + sum_j lambda_j theta'S_j theta`` with S_j = I_{d_x} kron
-    V diag(W_j) V', whose ranges must be disjoint.  Each iteration computes the
-    score and information I once and turns them into the eigenbasis
-    I_{d_x} kron V of the penalties.  Unless the selection has settled,
-    ``_select`` then takes one safeguarded Newton step in log lambda, from
-    lambda_j = 1, on the Laplace-approximate REML of the quadratic model of
-    the deviance at theta (Wood 2011); its stationary point is the
-    Fellner--Schall fixed point lambda_j theta'S_j theta = edf_j.  Last comes
-    a step-halved Newton step in theta at the updated lambdas, towards the
-    minimizer of that quadratic model.  The run stops once the selection has
-    settled, the step moves the deviance by less than ``DEVIANCE_RTOL`` and
-    no coefficient by more than ``STEP_RTOL`` times 1 + max|theta|; with no
-    penalty it is plain Newton scoring.
+    ``block`` is a J x d_T array of nonnegative rows W_j: the penalties are
+    diagonal, S_j = I_{d_x} kron diag(W_j), with disjoint nonzero entries.
+    The objective is ``-2 loglik + sum_j lambda_j theta'S_j theta``.  Each
+    iteration computes the score and information once.  Unless the selection
+    has settled, ``_select`` then takes one safeguarded Newton step in
+    log lambda, from lambda_j = 1, on the Laplace-approximate REML of the
+    quadratic model of the deviance at theta (Wood 2011); its stationary
+    point is the Fellner--Schall fixed point lambda_j theta'S_j theta = edf_j.
+    Last comes a step-halved Newton step in theta at the updated lambdas,
+    towards the minimizer of that quadratic model.  The run stops once the
+    selection has settled, the step moves the deviance by less than
+    ``DEVIANCE_RTOL`` and no coefficient by more than ``STEP_RTOL`` times
+    1 + max|theta|; with no rows (J = 0) it is plain Newton scoring.
 
     Returns (theta, trace, lambdas, H), with H recomputed at the returned theta.
     Raises ``NumericError`` once max|theta| passes ``DIVERGENCE_CAP`` and
     ``ConvergenceError`` when ``MAX_ITER`` iterations do not converge.
     """
     kernel = _information_kernel(pooled, bx, bt)
-    d_x, d_t = bx.shape[1], bt.shape[1]
-    rotation, block = penalty if penalty is not None else (np.eye(d_t), np.zeros((0, d_t)))
-    weights = np.tile(block, d_x)
+    weights = np.tile(block, bx.shape[1])
     ranks = np.count_nonzero(weights, axis=1)
     lams = np.ones(len(weights))
 
-    def rotated(x):
-        """x times I_{d_x} kron V along its last axis."""
-        return (x.reshape(*x.shape[:-1], d_x, d_t) @ rotation).reshape(x.shape)
-
     def penalized(fit_dev, theta):
-        return fit_dev + float(lams @ weights @ rotated(theta) ** 2)
+        return fit_dev + float(lams @ weights @ theta ** 2)
 
     theta = np.asarray(theta0, dtype=float).copy()
     # each candidate is normalised once: the accepted one's densities and
@@ -456,12 +448,9 @@ def _newton(theta0, pooled, bx, bt, penalty=None):
     for _ in range(MAX_ITER):
         score, info = kernel(theta, dens)
         settled = True
-        if penalty is not None:
-            # the information in the penalties' eigenbasis (I is symmetric)
-            info_r = rotated(rotated(info).T)
-            lams, target, settled = _select(info_r, info_r @ rotated(theta) + rotated(score),
-                                            lams, weights, ranks)
-            step = (target.reshape(d_x, d_t) @ rotation.T).ravel() - theta
+        if len(weights):
+            lams, target, settled = _select(info, info @ theta + score, lams, weights, ranks)
+            step = target - theta
             dev = penalized(fit_dev, theta)
         else:
             step = _solve(info, score)
@@ -485,19 +474,18 @@ def _newton(theta0, pooled, bx, bt, penalty=None):
             )
         if (settled and rel_change < DEVIANCE_RTOL
                 and moved <= STEP_RTOL * (1.0 + np.max(np.abs(theta)))):
-            total = (rotation * (lams @ block)) @ rotation.T
-            return theta, trace, lams, kernel(theta, dens)[1] + np.kron(np.eye(d_x), total)
+            return theta, trace, lams, kernel(theta, dens)[1] + np.diag(lams @ weights)
     raise ConvergenceError(f"did not converge in {MAX_ITER} iterations", trace=trace)
 
 
-def _warm_start(pooled, covariate_bases, bt, penalty):
+def _warm_start(pooled, covariate_bases, bt, block):
     """Coefficients zero but for the intercept's outcome block, fitted to the pooled log-histogram.
 
     The block minimizes sum_g c_g (log(c_g / w_g) - c - B_T[g] a)^2 + a'S a over
-    (c, a), for the pooled counts c_g, cell widths w_g and the penalty S at
-    every lambda_j = 1: the first step of the Poisson log-linear fit from the
-    saturated one, which weighs each cell as the likelihood does.  Without an
-    intercept all coefficients are zero.
+    (c, a), for the pooled counts c_g, cell widths w_g and the diagonal
+    penalty S = diag(sum_j W_j) at every lambda_j = 1: the first step of the
+    Poisson log-linear fit from the saturated one, which weighs each cell as
+    the likelihood does.  Without an intercept all coefficients are zero.
     """
     d_t = bt.shape[1]
     theta = np.zeros(sum(cb.n_columns for cb in covariate_bases) * d_t)
@@ -511,8 +499,7 @@ def _warm_start(pooled, covariate_bases, bt, penalty):
     logs[seen] = np.log(counts[seen] / pooled.grid.widths[seen])
     design = np.hstack([np.ones((len(counts), 1)), bt])
     normal = design.T @ (counts[:, None] * design)
-    rotation, weights = penalty
-    normal[1:, 1:] += (rotation * weights.sum(axis=0)) @ rotation.T
+    normal[1:, 1:] += np.diag(block.sum(axis=0))
     theta[offset:offset + d_t] = _solve(normal, design.T @ (counts * logs))[1:]
     return theta
 
@@ -522,7 +509,8 @@ def _fit(pooled, covariate_bases, outcome_basis, penalty=None):
 
     The likelihood treats weights as counts, so the rescaling keeps the Hessian
     and the selected lambdas (lambda = 1 weighs one row) free of their scale.
-    A penalized run starts at ``_warm_start``, a plain one at zero.
+    A plain run starts at zero.  A penalized one runs from ``_warm_start`` in
+    the eigenbasis V of ``penalty`` (V, W), on B_T V, and maps phi and H back once.
     """
     if not np.any(pooled.counts > 0):
         raise DataError("no positive counts to fit")
@@ -530,10 +518,15 @@ def _fit(pooled, covariate_bases, outcome_basis, penalty=None):
     pooled = replace(pooled, counts=pooled.counts * scale, totals=pooled.totals * scale)
     bx, bt = _pooled_matrix(pooled, covariate_bases), outcome_basis.matrix
     if penalty is None:
-        theta0 = np.zeros(bx.shape[1] * bt.shape[1])
+        theta, trace, lams, hessian = _newton(np.zeros(bx.shape[1] * bt.shape[1]), pooled,
+                                              bx, bt, np.zeros((0, bt.shape[1])))
     else:
-        theta0 = _warm_start(pooled, covariate_bases, bt, penalty)
-    theta, trace, lams, hessian = _newton(theta0, pooled, bx, bt, penalty)
+        rotation, block = penalty
+        bt = bt @ rotation
+        phi, trace, lams, hessian = _newton(_warm_start(pooled, covariate_bases, bt, block),
+                                            pooled, bx, bt, block)
+        back = np.kron(np.eye(bx.shape[1]), rotation)
+        theta, hessian = back @ phi, back @ hessian @ back.T
     lam, lam0 = lams if penalty is not None else (0.0, 0.0)
     return FittedDensityModel(
         theta=theta,

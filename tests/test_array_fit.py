@@ -12,12 +12,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from cfdens import density_regression
 from cfdens.basis import PartialEffectSpec, build_covariate_basis, build_outcome_basis
 from cfdens.config import load_config
 from cfdens.dataio import load_dataset
-from cfdens.density_regression import ObservationTable, bin_and_pool, fit, fit_group, fit_smoothed
+from cfdens.density_regression import (ObservationTable, bin_and_pool, difference_penalty, fit,
+                                       fit_group, fit_smoothed)
 from cfdens.errors import NumericError
 from cfdens.measure_grid import GridSpec
 from cfdens.sim_benchmark import DgpSpec, fit_bayes_group, simulate
@@ -144,13 +146,38 @@ def test_fit_smoothed_with_the_reference_kernel_takes_the_same_steps(design, mon
     model = fit_smoothed(pooled, covariate_bases, outcome_basis)
 
     def reference_kernel(pooled, bx, bt):
+        basis = replace(outcome_basis, matrix=bt)
         return lambda theta, eta=None: _reference_score_information(
-            theta, pooled, covariate_bases, outcome_basis)
+            theta, pooled, covariate_bases, basis)
 
     monkeypatch.setattr(density_regression, "_information_kernel", reference_kernel)
     ref = fit_smoothed(pooled, covariate_bases, outcome_basis)
     assert model.iterations == ref.iterations
     assert np.max(np.abs(model.theta - ref.theta)) <= 1e-10
+
+
+@pytest.mark.parametrize("design", ["monte-carlo", "bundled"])
+def test_fit_smoothed_hessian_and_score_in_the_original_coordinates(design):
+    """The fit runs in the penalties' eigenbasis; theta and H come back from it.
+
+    On the histogram the fit sees (weights rescaled to the row count), H is
+    the information at theta plus P = lambda S + lambda_0 S_0, and the score
+    equals P theta, in the coordinates of ``outcome_basis``.
+    """
+    pooled, covariate_bases, outcome_basis = DESIGNS[design]()
+    model = fit_smoothed(pooled, covariate_bases, outcome_basis)
+    scale = pooled.n_rows / pooled.totals.sum()
+    pooled = replace(pooled, counts=pooled.counts * scale, totals=pooled.totals * scale)
+    bx = density_regression._pooled_matrix(pooled, covariate_bases)
+    score, info = density_regression._information_kernel(pooled, bx, outcome_basis.matrix)(
+        model.theta)
+    S = difference_penalty(covariate_bases, outcome_basis)
+    null = null_space(S)
+    penalty = model.smoothing_parameter * S + model.null_space_parameter * (null @ null.T)
+    expected = info + penalty
+    assert (np.max(np.abs(model.fisher_information - expected))
+            <= 1e-12 * np.max(np.abs(expected)))
+    assert np.max(np.abs(score - penalty @ model.theta)) <= 1e-9 * np.max(np.abs(score))
 
 
 def test_fit_group_takes_at_most_14_iterations_per_bundled_group():

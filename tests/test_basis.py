@@ -144,6 +144,13 @@ def test_categorical_unseen_levels_error_names_the_first_in_sorted_order():
         build_covariate_basis(spec, ["W", "S", "N", "E", "S"])
 
 
+def test_smooth_training_values_all_equal_errors():
+    # B-splines over [40, 40] are all zero, so the effect would vanish silently
+    spec = PartialEffectSpec.smooth("age", knot_count=9, degree=3)
+    with pytest.raises(DataError, match="^smooth covariate 'age' takes only the value 40$"):
+        build_covariate_basis(spec, np.full(30, 40.0))
+
+
 def test_smooth_column_count_and_centering():
     rng = np.random.default_rng(0)
     ages = rng.uniform(20, 65, size=200)

@@ -60,8 +60,12 @@ def config_file(tmp_path):
 
 # ------------------------------------------------------------------ config
 
-def test_parse_config_values():
+def test_parse_config_values(tmp_path):
     cfg = parse_config(SMALL_CONFIG)
+    # a UTF-8 file with a byte-order mark loads to the same config
+    bom = tmp_path / "bom.cfg"
+    bom.write_text(SMALL_CONFIG, encoding="utf-8-sig")
+    assert bom.read_bytes().startswith(b"\xef\xbb\xbf") and load_config(bom) == cfg
     assert cfg.measure.continuous_interval == (10.0, 9990.0)
     assert cfg.measure.atoms == ((0.0, 1.0), (10000.0, 1.0))
     assert cfg.cap == 9990.0 and cfg.cap_atom == 10000.0
@@ -191,9 +195,11 @@ def test_parse_config_rejects_a_marginal_covariate_that_is_repeated_or_not_an_ef
     ("effect.edu = categorical(levels=low||high, reference=low)",
      "^categorical 'edu' lists an empty level$"),
     ("measure.atoms = 0:1:7, 10000:1", "^measure.atoms: '0:1:7' is not location:weight$"),
+    ("uncertainty.seed = -1", "^uncertainty.seed must be >= 0, got -1$"),
 ], ids=["estimator-twice", "estimator-twice-apart", "unknown-estimator", "n-twice", "n-zero",
         "n-negative", "effect-unknown-argument", "effect-unknown-categorical-argument",
-        "effect-argument-twice", "level-twice", "level-empty", "atom-two-colons"])
+        "effect-argument-twice", "level-twice", "level-empty", "atom-two-colons",
+        "seed-negative"])
 def test_parse_config_rejects_a_repeated_or_invalid_simulate_item(line, message):
     key = line.split(" = ")[0]
     text = "\n".join(line if l.startswith(key + " =") else l for l in SMALL_CONFIG.splitlines())
@@ -336,7 +342,7 @@ def test_load_dataset_skips_blank_lines(tmp_path):
     assert len(treated) == len(control) == 1
 
 
-def test_load_dataset_matches_a_dict_reader_reference():
+def test_load_dataset_matches_a_dict_reader_reference(tmp_path):
     config = load_config(ROOT / "configs" / "synthetic_mixed.cfg")
     with open(DATA, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -353,6 +359,16 @@ def test_load_dataset_matches_a_dict_reader_reference():
         assert table.covariates["edu"].dtype.kind == "U"
         assert table.covariates["edu"].tolist() == [r["edu"] for r in group]
     assert sum(map(len, tables)) == len(rows)
+    # a byte-order mark, as in Excel's "CSV UTF-8", leaves the header and the tables as they are
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + DATA.read_bytes())
+    for table, copy in zip(tables, load_dataset(bom, config)):
+        assert table.group == copy.group
+        for name in ("outcomes", "weights"):
+            assert np.array_equal(getattr(table, name), getattr(copy, name))
+        assert table.covariates.keys() == copy.covariates.keys()
+        for name, values in table.covariates.items():
+            assert np.array_equal(values, copy.covariates[name])
 
 
 def test_curve_table_round_trip(tmp_path):
@@ -571,6 +587,14 @@ def test_cli_missing_config_fails_cleanly(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("cfdens: error:")
     assert "\n" == err[err.index("\n"):]  # single diagnostic line
+
+
+@pytest.mark.parametrize("command", ["fit", "decompose", "simulate"])
+def test_cli_negative_seed_fails_before_any_output(config_file, tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config_file), "--out", str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "cfdens: error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():

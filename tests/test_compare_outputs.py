@@ -28,6 +28,23 @@ def test_identical_directories_exit_zero(tmp_path, capsys):
                                                        "same     fit/model_treated.txt"]
 
 
+def test_the_last_line_totals_files_gaps_and_flags(tmp_path, capsys):
+    a = _write(tmp_path / "a", {"de.csv": CURVE, "ce.csv": CURVE, "te.csv": CURVE,
+                                "model.txt": "theta = 1,2\n", "old.csv": ""})
+    b = _write(tmp_path / "b", {
+        "de.csv": CURVE.replace("1.5,1,0", "1.5,0,0").replace("0.5,1,0", "0.5,0,0"),
+        "ce.csv": CURVE.replace("0.5,1,0", "0.5000001,0,0"),
+        "te.csv": CURVE,
+        "model.txt": "theta = 1,2.5\n",
+    })
+    assert compare_outputs.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "total    5 files, 4 differ, max rel gap 0.2, valid_flag changed in 3 rows")
+    assert compare_outputs.main([str(a), str(a)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "total    5 files, 0 differ, max rel gap 0, valid_flag changed in 0 rows")
+
+
 def test_differing_files_report_gap_flags_rows_and_missing_files(tmp_path, capsys):
     a = _write(tmp_path / "a", {"f11.csv": CURVE, "model.txt": "theta = 1,2\n", "old.csv": ""})
     b = _write(tmp_path / "b", {
