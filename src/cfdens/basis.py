@@ -145,6 +145,8 @@ def build_outcome_basis(
     the last column is dropped to remove the single partition-of-unity
     dependency.
     """
+    if degree < 0:
+        raise ConfigError(f"outcome basis degree must be >= 0, got {degree}")
     has_cont = measure.continuous_interval is not None
     if has_cont and spline_count <= degree:
         raise ConfigError(f"spline_count must exceed degree, got {spline_count} <= {degree}")

@@ -6,8 +6,8 @@ log bin-width offset is maximized with the nuisance intercepts profiled out,
 which reduces to Newton scoring on the multinomial log-likelihood.  Weighted
 (non-integer) counts are handled as a quasi-likelihood.
 
-Two estimators share one Newton loop, ``_newton``, which alone decides that a
-run failed.  ``fit`` is the plain maximum likelihood estimate from zero.
+Two estimators share one path, ``_fit``, whose Newton loop ``_newton`` alone
+decides that a run failed.  ``fit`` is its run with no penalty, from zero.
 ``fit_smoothed`` is the double-penalty P-spline fit: a second-order difference
 penalty along the outcome direction plus a penalty on its null space.  Both
 strengths are selected inside the same loop, where each iteration takes one
@@ -343,7 +343,7 @@ def _log_det(hessian):
         return None
 
 
-def _select(info, b, lams, weights, ranks):
+def _select(info, b, lams, weights):
     """One safeguarded Newton step in rho = log lambda on the REML of the working model.
 
     At the current theta the penalized deviance is the quadratic with
@@ -359,9 +359,9 @@ def _select(info, b, lams, weights, ranks):
         d2V/drho_j drho_k = delta_jk (theta_lambda'u_j + tr M_j)
                             - 2 u_j'H^-1 u_k - tr(M_j M_k)
 
-    from d theta_lambda / d rho_k = -H^-1 u_k.  Everything is in the
-    eigenbasis of the penalties, where S_j = diag(``weights[j]``) and Pi_j is
-    the indicator of its nonzero entries, so all but H^-1 costs O(R^2).  The
+    from d theta_lambda / d rho_k = -H^-1 u_k.  The penalties are diagonal,
+    S_j = diag(``weights[j]``) with disjoint nonzero entries, so rank(S_j)
+    counts them, Pi_j is their indicator and all but H^-1 costs O(R^2).  The
     step is Newton's along the eigenvectors of positive curvature and as long
     as allowed along the others, where the quadratic model has no minimum; it
     moves no rho_j by more than ``MAX_LOG_LAMBDA_STEP`` and is halved until V
@@ -371,11 +371,9 @@ def _select(info, b, lams, weights, ranks):
     Returns (lambdas, theta_lambda at them, settled), settled when every
     |dV/drho_j| <= ``SELECTION_TOL`` at the current lambdas, which are then kept.
     """
+    ranks = np.count_nonzero(weights, axis=1)
     hessian = info + np.diag(lams @ weights)
-    try:
-        inverse = np.linalg.inv(hessian)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"singular information matrix: {exc}") from exc
+    inverse = _solve(hessian, np.eye(len(b)))
     target = inverse @ b
     # diag(H^-1 I) from the symmetric I: tr(Pi_j H^-1 I) has no cancellation at large lambda_j
     edfs = (weights > 0) @ np.sum(inverse * info, axis=1)
@@ -410,11 +408,11 @@ def _select(info, b, lams, weights, ranks):
     return lams, target, False
 
 
-def _newton(theta0, pooled, bx, bt, block):
+def _newton(theta0, pooled, bx, bt, weights):
     """Newton scoring on the penalized multinomial deviance, selecting its penalties.
 
-    ``block`` is a J x d_T array of nonnegative rows W_j: the penalties are
-    diagonal, S_j = I_{d_x} kron diag(W_j), with disjoint nonzero entries.
+    ``weights`` holds J nonnegative rows over all coefficients: the penalties
+    are diagonal, S_j = diag(``weights[j]``), with disjoint nonzero entries.
     The objective is ``-2 loglik + sum_j lambda_j theta'S_j theta``.  Each
     iteration computes the score and information once.  Unless the selection
     has settled, ``_select`` then takes one safeguarded Newton step in
@@ -432,8 +430,6 @@ def _newton(theta0, pooled, bx, bt, block):
     ``ConvergenceError`` when ``MAX_ITER`` iterations do not converge.
     """
     kernel = _information_kernel(pooled, bx, bt)
-    weights = np.tile(block, bx.shape[1])
-    ranks = np.count_nonzero(weights, axis=1)
     lams = np.ones(len(weights))
 
     def penalized(fit_dev, theta):
@@ -449,7 +445,7 @@ def _newton(theta0, pooled, bx, bt, block):
         score, info = kernel(theta, dens)
         settled = True
         if len(weights):
-            lams, target, settled = _select(info, info @ theta + score, lams, weights, ranks)
+            lams, target, settled = _select(info, info @ theta + score, lams, weights)
             step = target - theta
             dev = penalized(fit_dev, theta)
         else:
@@ -485,12 +481,13 @@ def _warm_start(pooled, covariate_bases, bt, block):
     (c, a), for the pooled counts c_g, cell widths w_g and the diagonal
     penalty S = diag(sum_j W_j) at every lambda_j = 1: the first step of the
     Poisson log-linear fit from the saturated one, which weighs each cell as
-    the likelihood does.  Without an intercept all coefficients are zero.
+    the likelihood does.  Without an intercept or without penalty rows all
+    coefficients are zero.
     """
     d_t = bt.shape[1]
     theta = np.zeros(sum(cb.n_columns for cb in covariate_bases) * d_t)
     kinds = [cb.spec.kind for cb in covariate_bases]
-    if "intercept" not in kinds:
+    if "intercept" not in kinds or not len(block):
         return theta
     offset = d_t * sum(cb.n_columns for cb in covariate_bases[:kinds.index("intercept")])
     counts = pooled.counts.sum(axis=0)
@@ -504,30 +501,25 @@ def _warm_start(pooled, covariate_bases, bt, block):
     return theta
 
 
-def _fit(pooled, covariate_bases, outcome_basis, penalty=None):
+def _fit(pooled, covariate_bases, outcome_basis, rotation, block):
     """Run ``_newton`` on weights rescaled to sum to the row count.
 
     The likelihood treats weights as counts, so the rescaling keeps the Hessian
     and the selected lambdas (lambda = 1 weighs one row) free of their scale.
-    A plain run starts at zero.  A penalized one runs from ``_warm_start`` in
-    the eigenbasis V of ``penalty`` (V, W), on B_T V, and maps phi and H back once.
+    It runs from ``_warm_start`` on B_T V, for the ``rotation`` V, with the
+    rows of ``block`` (J x d_T) as penalties on every covariate column, and
+    maps phi and H back once.
     """
     if not np.any(pooled.counts > 0):
         raise DataError("no positive counts to fit")
     scale = pooled.n_rows / pooled.totals.sum()
     pooled = replace(pooled, counts=pooled.counts * scale, totals=pooled.totals * scale)
-    bx, bt = _pooled_matrix(pooled, covariate_bases), outcome_basis.matrix
-    if penalty is None:
-        theta, trace, lams, hessian = _newton(np.zeros(bx.shape[1] * bt.shape[1]), pooled,
-                                              bx, bt, np.zeros((0, bt.shape[1])))
-    else:
-        rotation, block = penalty
-        bt = bt @ rotation
-        phi, trace, lams, hessian = _newton(_warm_start(pooled, covariate_bases, bt, block),
-                                            pooled, bx, bt, block)
-        back = np.kron(np.eye(bx.shape[1]), rotation)
-        theta, hessian = back @ phi, back @ hessian @ back.T
-    lam, lam0 = lams if penalty is not None else (0.0, 0.0)
+    bx, bt = _pooled_matrix(pooled, covariate_bases), outcome_basis.matrix @ rotation
+    phi, trace, lams, hessian = _newton(_warm_start(pooled, covariate_bases, bt, block),
+                                        pooled, bx, bt, np.tile(block, bx.shape[1]))
+    back = np.kron(np.eye(bx.shape[1]), rotation)
+    theta, hessian = back @ phi, back @ hessian @ back.T
+    lam, lam0 = np.pad(lams, (0, 2 - len(lams)))  # 0 and 0 where no penalty rows
     return FittedDensityModel(
         theta=theta,
         outcome_basis=outcome_basis,
@@ -546,16 +538,17 @@ def fit(
 ) -> FittedDensityModel:
     """Maximize the profiled Poisson (= multinomial) likelihood by Newton scoring.
 
-    Plain Newton scoring from zero, with no penalty, so the estimate is the
-    exact maximizer and the stored Hessian is the information at it (for
-    weights rescaled to sum to the row count).  Where that maximizer lies at
-    infinity (a covariate subgroup with an empty span of outcome cells) the
-    coefficients drift with steps that do not shrink, so the run raises: a
-    ``NumericError`` once they pass ``DIVERGENCE_CAP`` or the information turns
-    singular, else a ``ConvergenceError``.  ``fit_smoothed`` has an interior
-    estimate there.
+    Plain Newton scoring from zero (``_fit`` with the identity rotation and no
+    penalty rows), so the estimate is the exact maximizer and the stored
+    Hessian is the information at it (for weights rescaled to sum to the row
+    count).  Where that maximizer lies at infinity (a covariate subgroup with
+    an empty span of outcome cells) the coefficients drift with steps that do
+    not shrink, so the run raises: a ``NumericError`` once they pass
+    ``DIVERGENCE_CAP`` or the information turns singular, else a
+    ``ConvergenceError``.  ``fit_smoothed`` has an interior estimate there.
     """
-    return _fit(pooled, covariate_bases, outcome_basis)
+    d_t = outcome_basis.n_columns
+    return _fit(pooled, covariate_bases, outcome_basis, np.eye(d_t), np.zeros((0, d_t)))
 
 
 def _outcome_penalty(outcome_basis: OutcomeBasis) -> np.ndarray:
@@ -601,7 +594,7 @@ def fit_smoothed(
     if not penalized.any():
         raise ConfigError("the outcome basis has no spline coefficients to penalize")
     weights = np.array([np.where(penalized, eigvals, 0.0), (~penalized).astype(float)])
-    return _fit(pooled, covariate_bases, outcome_basis, (eigvecs, weights))
+    return _fit(pooled, covariate_bases, outcome_basis, eigvecs, weights)
 
 
 def fit_group(table: ObservationTable, effects,

@@ -36,14 +36,16 @@ class ReferenceMeasure:
             raise DomainError("reference measure needs an interval or atoms")
         if self.continuous_interval is not None:
             a, b = self.continuous_interval
-            if not a < b:
-                raise DomainError(f"interval bounds must satisfy a < b, got ({a}, {b})")
+            if not (np.isfinite([a, b]).all() and a < b):
+                raise DomainError(f"interval bounds must be finite with a < b, got ({a}, {b})")
+        for loc, w in self.atoms:
+            if not np.isfinite(loc):
+                raise DomainError(f"atom location must be finite, got {loc}")
+            if not (np.isfinite(w) and w > 0):
+                raise DomainError(f"atom weight at {loc} must be finite and positive, got {w}")
         locs = [loc for loc, _ in self.atoms]
         if len(set(locs)) != len(locs):
             raise DomainError("atom locations must be distinct")
-        for loc, w in self.atoms:
-            if w <= 0:
-                raise DomainError(f"atom weight at {loc} must be positive, got {w}")
 
     @property
     def atom_locations(self) -> tuple[float, ...]:

@@ -55,6 +55,13 @@ def test_outcome_basis_rejects_count_not_exceeding_degree():
     grid = unit_grid(50)
     with pytest.raises(ConfigError):
         build_outcome_basis(UNIT_MEASURE, grid, spline_count=3, degree=3)
+    # a negative degree would drop the clamped knots (-2) or mis-shape the design (-1)
+    for degree in (-1, -2):
+        with pytest.raises(ConfigError,
+                           match=f"^outcome basis degree must be >= 0, got {degree}$"):
+            build_outcome_basis(UNIT_MEASURE, grid, spline_count=12, degree=degree)
+    steps = build_outcome_basis(UNIT_MEASURE, grid, spline_count=12, degree=0)
+    assert steps.n_columns == 11
 
 
 def test_evaluate_at_matches_grid_centers():

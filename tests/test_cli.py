@@ -597,6 +597,24 @@ def test_cli_negative_seed_fails_before_any_output(config_file, tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("basis.degree = -2", "outcome basis degree must be >= 0, got -2"),
+    ("measure.atoms = 0:nan, 10000:1", "atom weight at 0.0 must be finite and positive, got nan"),
+    ("measure.atoms = nan:1, 10000:1", "atom location must be finite, got nan"),
+    ("measure.interval = 10, inf", "interval bounds must be finite with a < b, got (10.0, inf)"),
+], ids=["degree-negative", "atom-weight-nan", "atom-location-nan", "interval-inf"])
+def test_cli_negative_degree_or_non_finite_measure_fails_before_fitting(tmp_path, capsys,
+                                                                          line, message):
+    key = line.split(" = ")[0]
+    config = tmp_path / "run.cfg"
+    config.write_text("\n".join(line if l.startswith(key + " =") else l
+                                for l in SMALL_CONFIG.splitlines()), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["fit", "--config", str(config), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"cfdens: error: {message}\n"
+    assert not (out / "model_treated.txt").exists()
+
+
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     submodules = ["scipy.interpolate", "scipy.linalg", "scipy.special", "scipy.stats",

@@ -374,6 +374,7 @@ def test_fit_hessian_is_the_information_at_the_estimate():
     bx = density_regression._pooled_matrix(pooled, bases)
     info = density_regression._information_kernel(pooled, bx, basis.matrix)(model.theta)[1]
     assert np.array_equal(model.fisher_information, info)
+    assert model.smoothing_parameter == model.null_space_parameter == 0.0
 
 
 def test_fit_deviance_trace_nonincreasing():

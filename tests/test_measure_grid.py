@@ -46,6 +46,21 @@ def test_measure_rejects_nonpositive_atom_weight():
         ReferenceMeasure(atoms=((0.0, 0.0),))
 
 
+@pytest.mark.parametrize("interval, atoms, message", [
+    ((10.0, np.inf), (), r"interval bounds must be finite with a < b, got \(10.0, inf\)"),
+    ((-np.inf, 10.0), (), r"interval bounds must be finite with a < b, got \(-inf, 10.0\)"),
+    ((10.0, np.nan), (), r"interval bounds must be finite with a < b, got \(10.0, nan\)"),
+    (None, ((np.nan, 1.0), (1e4, 1.0)), "atom location must be finite, got nan"),
+    (None, ((-np.inf, 1.0),), "atom location must be finite, got -inf"),
+    (None, ((0.0, np.nan), (1e4, 1.0)), "atom weight at 0.0 must be finite and positive, got nan"),
+    (None, ((0.0, np.inf), (1e4, 1.0)), "atom weight at 0.0 must be finite and positive, got inf"),
+], ids=["upper-inf", "lower-inf", "upper-nan", "location-nan", "location-inf", "weight-nan",
+        "weight-inf"])
+def test_measure_rejects_a_non_finite_bound_location_or_weight(interval, atoms, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        ReferenceMeasure(continuous_interval=interval, atoms=atoms)
+
+
 # ------------------------------------------------------------------- grids
 
 def test_grid_from_measure_layout(mixed_measure):
