@@ -12,7 +12,7 @@ from . import __version__
 from .basis import build_outcome_basis
 from .config import RunConfig, load_config
 from .counterfactual import counterfactual_density, effect_bands
-from .dataio import density_curve, load_dataset, ratio_curves, write_curve_table
+from .dataio import load_dataset, write_curve_table
 from .density_regression import fit_group
 from .errors import ConfigError
 from .measure_grid import GridSpec
@@ -43,12 +43,18 @@ def _fit_groups(config: RunConfig):
     return models, samples, grid
 
 
+def _write_density(path: Path, density) -> None:
+    """A density as draw 0 of a curve table, every cell valid."""
+    values = density.values[None]
+    write_curve_table(path, density.grid, values, np.ones(values.shape, dtype=bool))
+
+
 def _cmd_fit(config: RunConfig, out_dir: Path, seed: int) -> None:
-    models, samples, grid = _fit_groups(config)
+    models, samples, _ = _fit_groups(config)
     for label in ("treated", "control"):
         model = models[label]
         marginal = counterfactual_density(model, samples[label])
-        write_curve_table(out_dir / f"density_{label}.csv", grid, [density_curve(marginal)])
+        _write_density(out_dir / f"density_{label}.csv", marginal)
         summary = [
             f"group = {label}",
             f"coefficients = {model.n_coefficients}",
@@ -78,10 +84,10 @@ def _cmd_effects(config: RunConfig, out_dir: Path, seed: int, command: str) -> N
                          (samples["treated"], samples["control"]),
                          effects, config.alpha, config.draws, seed, densities)
     for name, density in (densities or {}).items():
-        write_curve_table(out_dir / f"{name}.csv", grid, [density_curve(density)])
+        _write_density(out_dir / f"{name}.csv", density)
     for (kind, j_name), band in bands.items():
         stem = kind if j_name is None else f"{kind[:-2]}_{j_name}"
-        write_curve_table(out_dir / f"{stem}.csv", grid, ratio_curves(band))
+        write_curve_table(out_dir / f"{stem}.csv", grid, band.values, band.valid)
 
 
 def _cmd_simulate(config: RunConfig, out_dir: Path, seed: int) -> None:

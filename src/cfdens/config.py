@@ -57,8 +57,8 @@ class RunConfig:
     raw_text: str = ""
 
     def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
+        if not 0 < self.alpha <= 0.5:
+            raise ConfigError(f"uncertainty.alpha must be in (0, 0.5], got {self.alpha}")
         if self.draws < 0:
             raise ConfigError("draws must be >= 0")
         if self.seed < 0:
@@ -122,7 +122,8 @@ def _value(key: str, text: str, kind):
     try:
         return kind(text)
     except ValueError:
-        raise ConfigError(f"{key}: cannot parse '{text}' as a number") from None
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: cannot parse '{text}' as {what}") from None
 
 
 def _parse_kv(text: str) -> dict[str, str]:
@@ -163,9 +164,8 @@ def _parse_effect(name: str, text: str) -> PartialEffectSpec:
     if kind == "categorical":
         if "levels" not in args or "reference" not in args:
             raise ConfigError(f"effect '{name}': categorical needs levels and reference")
-        return PartialEffectSpec.categorical(
-            name, args["levels"].split("|"), args["reference"]
-        )
+        levels = [level.strip() for level in args["levels"].split("|")]
+        return PartialEffectSpec.categorical(name, levels, args["reference"])
     return PartialEffectSpec.smooth(
         name,
         knot_count=_value(f"effect.{name} count", args.get("count", "9"), int),

@@ -64,15 +64,13 @@ class RatioFunction:
 
 @dataclass(frozen=True)
 class EffectBands:
-    """Point estimate plus per-draw ratio curves for uncertainty display."""
+    """One effect's (B + 1) x G ratios on ``grid``: row 0 at the point estimate,
+    row d at band draw d, and NaN where ``valid`` is False.
+    """
 
-    point: RatioFunction
-    draws: tuple[RatioFunction, ...]
-
-    def __post_init__(self):
-        for d in self.draws:
-            if not d.grid.same_as(self.point.grid):
-                raise StructuralError("band draw on a different grid")
+    grid: GridSpec
+    values: np.ndarray = field(repr=False)
+    valid: np.ndarray = field(repr=False)
 
 
 def _ratio(numerator: GridDensity, denominator: GridDensity) -> RatioFunction:
@@ -269,7 +267,7 @@ def _decomposition(models, samples, effects, joint=False):
 def effect_bands(models: tuple[FittedDensityModel, FittedDensityModel],
                  samples: tuple[CovariateSample, CovariateSample],
                  effects, alpha: float, B: int, seed: int, densities: dict | None = None) -> dict:
-    """Point estimate plus B ratio curves of each effect, all from one set of draws.
+    """Point estimate and B band draws of each effect, all from one set of draws.
 
     ``models`` and ``samples`` are (treated, control), and ``effects`` lists
     (kind, covariate name) pairs of ``EFFECTS``, such as ``("de", None)`` or
@@ -287,6 +285,7 @@ def effect_bands(models: tuple[FittedDensityModel, FittedDensityModel],
         densities.update((name, curve) for (name, j), curve in curves.items() if j is None)
     thetas = zip(sample_theta(models[1], alpha, B, seed=seed * 2 + 1),
                  sample_theta(models[0], alpha, B, seed=seed * 2 + 2))
-    draws = [evaluate({1: theta_1, 0: theta_0}, read)[1] for theta_1, theta_0 in thetas]
-    return {effect: EffectBands(point=ratio, draws=tuple(d[effect] for d in draws))
+    rows = [point] + [evaluate({1: theta_1, 0: theta_0}, read)[1] for theta_1, theta_0 in thetas]
+    return {effect: EffectBands(ratio.grid, np.stack([row[effect].values for row in rows]),
+                                np.stack([row[effect].valid for row in rows]))
             for effect, ratio in point.items()}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from operator import itemgetter
 
 import numpy as np
@@ -93,28 +94,24 @@ def load_dataset(path, config: RunConfig) -> tuple[ObservationTable, Observation
     return build(config.treated_label, treated), build(config.control_label, control)
 
 
-def format_curve_table(grid: GridSpec, curves) -> str:
+def format_curve_table(grid: GridSpec, values, valid) -> str:
     """Long-format table: (grid_point, cell_type, value, valid_flag, draw_index).
 
-    ``curves`` is a list of (draw_index, values, valid) triples sharing the grid.
+    ``values`` and ``valid`` are D x G arrays on ``grid``; row d is draw d.
     """
     out = io.StringIO()
     out.write("grid_point,cell_type,value,valid_flag,draw_index\n")
-    types = grid.cell_types()
-    for draw_index, values, valid in curves:
-        for g in range(grid.n_cells):
-            v = values[g]
-            txt = FLOAT_FMT % v if np.isfinite(v) else "nan"
-            out.write(
-                f"{FLOAT_FMT % grid.centers[g]},{types[g]},{txt},"
-                f"{int(bool(valid[g]))},{draw_index}\n"
-            )
+    cells = [f"{FLOAT_FMT % c},{t}," for c, t in zip(grid.centers, grid.cell_types())]
+    for d, (row, flags) in enumerate(zip(values.tolist(), valid.tolist())):
+        for cell, v, ok in zip(cells, row, flags):
+            txt = FLOAT_FMT % v if math.isfinite(v) else "nan"
+            out.write(f"{cell}{txt},{int(ok)},{d}\n")
     return out.getvalue()
 
 
-def write_curve_table(path, grid: GridSpec, curves):
+def write_curve_table(path, grid: GridSpec, values, valid):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_curve_table(grid, curves))
+        fh.write(format_curve_table(grid, values, valid))
 
 
 def read_curve_table(path):
@@ -132,15 +129,3 @@ def read_curve_table(path):
     return points, {
         d: (np.array(v), np.array(m, dtype=bool)) for d, (v, m) in draws.items()
     }
-
-
-def density_curve(density) -> tuple[int, np.ndarray, np.ndarray]:
-    return (0, density.values, np.ones(density.grid.n_cells, dtype=bool))
-
-
-def ratio_curves(bands) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Point estimate as draw 0, band draws as 1..B."""
-    out = [(0, bands.point.values, bands.point.valid)]
-    for b, draw in enumerate(bands.draws, start=1):
-        out.append((b, draw.values, draw.valid))
-    return out

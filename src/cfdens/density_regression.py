@@ -636,25 +636,24 @@ def sample_theta(
     alpha: float,
     B: int,
     seed: int,
-) -> list[np.ndarray]:
-    """Draw coefficients from the Gaussian truncated to the Wald ellipsoid.
+) -> np.ndarray:
+    """Draw B coefficient vectors, the rows of a B x R array, from the Wald region.
 
     Rejection sampling from N(theta_hat, I^{-1}) restricted to
-    {theta : (theta - theta_hat)' I (theta - theta_hat) <= chi2_{R,1-alpha}}.
-    Deterministic given the seed.
+    {theta : (theta - theta_hat)' I (theta - theta_hat) <= chi2_{R,1-alpha}},
+    which holds 1 - alpha >= 1/2 of the mass for alpha in (0, 0.5]: a band at
+    a lower level is no confidence band, and rejection takes at most 2B
+    proposals in expectation.  Deterministic given the seed.
     """
-    if not 0 < alpha < 1:
-        raise DomainError(f"alpha must be in (0,1), got {alpha}")
-    if B == 0:
-        return []
+    if not 0 < alpha <= 0.5:
+        raise DomainError(f"alpha must be in (0, 0.5], got {alpha}")
     R = model.n_coefficients
+    if B == 0:
+        return np.zeros((0, R))
     try:
         L = np.linalg.cholesky(model.fisher_information + 1e-10 * np.eye(R))
     except np.linalg.LinAlgError as exc:
         raise NumericError("Fisher information not positive definite") from exc
-    if 1.0 - alpha < 1e-6:
-        # degenerate region: the ellipsoid shrinks to the point estimate
-        return [model.theta.copy() for _ in range(B)]
     # z ~ N(0, I_R); theta = theta_hat + L^{-T} z has the target covariance and
     # Mahalanobis norm ||z||^2, so the ellipsoid test reduces to a chi2 bound.
     bound = wald_ellipsoid_radius(model, alpha)
@@ -664,7 +663,7 @@ def sample_theta(
         z = rng.standard_normal(R)
         if float(z @ z) <= bound:
             accepted.append(z)
-    return list(model.theta + np.linalg.solve(L.T, np.array(accepted).T).T)
+    return model.theta + np.linalg.solve(L.T, np.array(accepted).T).T
 
 
 def wald_ellipsoid_radius(model: FittedDensityModel, alpha: float) -> float:

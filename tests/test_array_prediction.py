@@ -19,6 +19,7 @@ from cfdens.basis import PartialEffectSpec, build_covariate_basis, build_outcome
 from cfdens.config import load_config
 from cfdens.counterfactual import (
     CovariateSample,
+    RatioFunction,
     _product_measure_average,
     counterfactual_density,
     distribution_effect,
@@ -133,8 +134,8 @@ def test_effect_bands_match_per_row_reference(bundled, kind, j_name):
         sample_theta(model_1, 0.05, B, seed=seed * 2 + 1),
         sample_theta(model_0, 0.05, B, seed=seed * 2 + 2),
     ))
-    assert len(bands.draws) == B
-    for got, (theta_1, theta_0) in zip((bands.point, *bands.draws), thetas):
+    assert bands.values.shape == bands.valid.shape == (B + 1, grid.n_cells)
+    for values, valid, (theta_1, theta_0) in zip(bands.values, bands.valid, thetas):
         f00 = _reference_average(model_0, sample_0, theta_0)
         if kind == "de":
             num = _reference_average(model_1, sample_1, theta_1)
@@ -149,7 +150,7 @@ def test_effect_bands_match_per_row_reference(bundled, kind, j_name):
         else:
             num = _reference_product(model_1, sample_1, sample_0, j_name, theta_1)
             den = f00
-        _assert_matches(got, _reference_ratio(grid, num, den))
+        _assert_matches(RatioFunction(grid, values, valid), _reference_ratio(grid, num, den))
 
 
 # ------------------------------------------------ exact product-measure average

@@ -73,6 +73,10 @@ def test_parse_config_values(tmp_path):
     # intercept is prepended automatically
     assert [e.kind for e in cfg.effects] == ["intercept", "categorical", "smooth"]
     assert cfg.effects[1].levels == ("low", "mid", "high")
+    # levels are stripped, as every other value is
+    spaced = SMALL_CONFIG.replace("levels=low|mid|high", "levels=low | mid | high")
+    assert spaced != SMALL_CONFIG
+    assert parse_config(spaced).effects[1].levels == ("low", "mid", "high")
     assert cfg.effects[2].knot_count == 6 and cfg.effects[2].degree == 2
     assert cfg.marginal_covariates == ["edu"]
     assert cfg.sim_n == [200] and cfg.sim_estimators == ["kde"]
@@ -92,6 +96,10 @@ def test_parse_config_rejects_bad_lines():
         parse_config("measure.interval = 0, 1\neffect.x = mystery(a=1)")
     with pytest.raises(ConfigError):
         parse_config("measure.interval = 0, 1\nuncertainty.alpha = 1.5")
+    # a band at a level below 50 % is not a confidence band
+    with pytest.raises(ConfigError, match=r"^uncertainty.alpha must be in \(0, 0.5\], got 0.6$"):
+        parse_config("measure.interval = 0, 1\nuncertainty.alpha = 0.6")
+    assert parse_config("measure.interval = 0, 1\nuncertainty.alpha = 0.5").alpha == 0.5
 
 
 def test_parse_config_rejects_an_unknown_key():
@@ -103,6 +111,7 @@ def test_parse_config_rejects_an_unknown_key():
     ("measure.interval = 10, 9990   # continuous support", "measure.interval"),
     ("measure.atoms = 0:1, 10000:x", "measure.atoms"),
     ("grid.bins = 2.5", "grid.bins"),
+    ("grid.bins = 30.0", "grid.bins"),
     ("uncertainty.alpha = five percent", "uncertainty.alpha"),
     ("simulate.n = 200, many", "simulate.n"),
     ("effect.age = smooth(count=six)", "effect.age count"),
@@ -111,7 +120,9 @@ def test_parse_config_names_the_key_of_an_unparseable_number(line, key):
     # the line replaces the one that sets the same key
     name = line.split("=", 1)[0]
     text = "\n".join(line if old.startswith(name) else old for old in SMALL_CONFIG.split("\n"))
-    with pytest.raises(ConfigError, match=f"^{key}: cannot parse"):
+    # a key of integers says so
+    what = "an integer" if key in ("grid.bins", "simulate.n", "effect.age count") else "a number"
+    with pytest.raises(ConfigError, match=f"^{key}: cannot parse '[^']*' as {what}$"):
         parse_config(text)
 
 
@@ -372,26 +383,28 @@ def test_load_dataset_matches_a_dict_reader_reference(tmp_path):
 
 
 def test_curve_table_round_trip(tmp_path):
+    # row d of the arrays is draw d of the table
     grid = unit_grid(7)
     rng = np.random.default_rng(0)
-    values = rng.uniform(0.1, 2.0, 7)
-    valid = np.array([True] * 6 + [False])
-    shown = values.copy()
-    shown[~valid] = np.nan
+    values = rng.uniform(0.1, 2.0, (3, 7))
+    valid = np.ones((3, 7), dtype=bool)
+    valid[0, 6] = valid[1, 2] = False
+    shown = np.where(valid, values, np.nan)
     path = tmp_path / "curve.csv"
-    write_curve_table(path, grid, [(0, shown, valid)])
+    write_curve_table(path, grid, shown, valid)
     points, draws = read_curve_table(path)
-    got_values, got_valid = draws[0]
-    assert np.array_equal(got_valid, valid)
-    # 17 significant digits round-trip doubles exactly
-    assert np.array_equal(got_values[valid], values[valid])
-    assert np.all(np.isnan(got_values[~valid]))
+    assert sorted(draws) == [0, 1, 2]
+    for d, (got_values, got_valid) in draws.items():
+        assert np.array_equal(got_valid, valid[d])
+        # 17 significant digits round-trip doubles exactly
+        assert np.array_equal(got_values[valid[d]], values[d, valid[d]])
+        assert np.all(np.isnan(got_values[~valid[d]]))
     assert points == [float("%.17g" % c) for c in grid.centers]
 
 
 def test_curve_table_header_and_cell_types(mixed_grid):
     values = np.ones(mixed_grid.n_cells)
-    text = format_curve_table(mixed_grid, [(0, values, values > 0)])
+    text = format_curve_table(mixed_grid, values[None], values[None] > 0)
     lines = text.splitlines()
     assert lines[0] == "grid_point,cell_type,value,valid_flag,draw_index"
     assert lines[1].split(",")[1] == "bin"

@@ -10,7 +10,6 @@ from cfdens.basis import (
 )
 from cfdens.counterfactual import (
     CovariateSample,
-    EffectBands,
     RatioFunction,
     counterfactual_density,
     covariate_effect,
@@ -27,7 +26,7 @@ from cfdens.density_regression import (
     fit_smoothed,
     wald_ellipsoid_radius,
 )
-from cfdens.errors import ConfigError, StructuralError
+from cfdens.errors import ConfigError, DomainError, StructuralError
 from cfdens.measure_grid import GridDensity, clr, integrate, tv_distance, uniform_density
 from cfdens.sim_benchmark import (
     DgpSpec,
@@ -335,26 +334,30 @@ def _band_inputs():
 
 def test_effect_bands_counts_and_grids():
     models, samples, grid = _band_inputs()
-    bands = effect_bands(models, samples, [("de", None)], alpha=0.05, B=7, seed=4)[("de", None)]
-    assert len(bands.draws) == 7
-    assert all(d.grid.same_as(grid) for d in bands.draws)
-    assert bands.point.grid.same_as(grid)
+    bands = effect_bands(models, samples, [("de", None)], alpha=0.05, B=4, seed=4)[("de", None)]
+    assert bands.values.shape == bands.valid.shape == (5, grid.n_cells)
+    assert bands.grid.same_as(grid)
+    # row 0 is the point DE = f11 / f01: both models over the treated covariates
+    point = distribution_effect(counterfactual_density(models[0], samples[0]),
+                                counterfactual_density(models[1], samples[0]))
+    assert np.array_equal(bands.values[0], point.values, equal_nan=True)
+    assert np.array_equal(bands.valid[0], point.valid)
+    assert np.array_equal(np.isnan(bands.values), ~bands.valid)
 
 
 def test_effect_bands_deterministic():
     models, samples, grid = _band_inputs()
     b1 = effect_bands(models, samples, [("te", None)], alpha=0.05, B=3, seed=9)[("te", None)]
     b2 = effect_bands(models, samples, [("te", None)], alpha=0.05, B=3, seed=9)[("te", None)]
-    for d1, d2 in zip(b1.draws, b2.draws):
-        assert np.array_equal(d1.values, d2.values, equal_nan=True)
+    for d1, d2 in zip(b1.values[1:], b2.values[1:]):
+        assert np.array_equal(d1, d2, equal_nan=True)
 
 
-def test_effect_bands_degenerate_alpha_pins_to_point():
+def test_effect_bands_reject_alpha_near_one():
+    # the region of the draws holds 1 - alpha of the mass: alpha is in (0, 0.5]
     models, samples, grid = _band_inputs()
-    ce = ("ce", None)
-    bands = effect_bands(models, samples, [ce], alpha=1.0 - 1e-9, B=3, seed=2)[ce]
-    for d in bands.draws:
-        assert np.allclose(d.values[d.valid], bands.point.values[bands.point.valid])
+    with pytest.raises(DomainError, match="alpha must be in"):
+        effect_bands(models, samples, [("ce", None)], alpha=1.0 - 1e-9, B=3, seed=2)
 
 
 def test_de_times_ce_is_te_on_every_band_draw():
@@ -363,12 +366,11 @@ def test_de_times_ce_is_te_on_every_band_draw():
     effects = [("de", None), ("ce", None), ("te", None)]
     bands = effect_bands(models, samples, effects, alpha=0.05, B=6, seed=3)
     de, ce, te = (bands[effect] for effect in effects)
-    assert len(te.draws) == 6
-    for d, c, t in zip((de.point, *de.draws), (ce.point, *ce.draws), (te.point, *te.draws)):
-        valid = d.valid & c.valid & t.valid
+    assert te.values.shape == (7, grid.n_cells)
+    for d, c, t, valid in zip(de.values, ce.values, te.values, de.valid & ce.valid & te.valid):
         assert valid.sum() > grid.n_cells // 2
-        product = d.values[valid] * c.values[valid]
-        assert np.all(np.abs(product - t.values[valid]) <= 1e-12 * t.values[valid])
+        product = d[valid] * c[valid]
+        assert np.all(np.abs(product - t[valid]) <= 1e-12 * t[valid])
 
 
 def test_effect_bands_marginal_requires_name():
@@ -400,7 +402,7 @@ def test_de_band_spread_covers_truth_at_grid_median():
         samples = (data1.sample, data0.sample)
         de = ("de", None)
         bands = effect_bands(models, samples, [de], alpha=0.05, B=100, seed=rep)[de]
-        vals = [d.values[mid] for d in bands.draws if d.valid[mid]]
-        if vals and min(vals) <= true_de <= max(vals):
+        vals = bands.values[1:, mid][bands.valid[1:, mid]]
+        if len(vals) and min(vals) <= true_de <= max(vals):
             covered += 1
     assert covered >= 80, f"covered {covered} of 100"

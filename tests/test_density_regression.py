@@ -635,7 +635,8 @@ def _small_model(seed=3):
 
 
 def test_sample_theta_zero_draws():
-    assert sample_theta(_small_model(), alpha=0.05, B=0, seed=1) == []
+    model = _small_model()
+    assert sample_theta(model, alpha=0.05, B=0, seed=1).shape == (0, model.n_coefficients)
 
 
 def test_sample_theta_deterministic():
@@ -657,32 +658,29 @@ def test_sample_theta_matches_one_solve_per_draw():
         if z @ z <= bound:
             want.append(model.theta + np.linalg.solve(L.T, z))
     got = sample_theta(model, alpha=0.05, B=20, seed=7)
-    assert len(got) == 20
-    assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert got.shape == (20, model.n_coefficients)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_sample_theta_draws_inside_ellipsoid():
     model = _small_model()
-    bound = wald_ellipsoid_radius(model, alpha=0.05)
     info = model.fisher_information
-    for draw in sample_theta(model, alpha=0.05, B=200, seed=11):
-        dev = draw - model.theta
-        assert dev @ info @ dev <= bound * (1.0 + 1e-8)
+    # alpha = 0.5 is the largest alpha accepted
+    for alpha, B in ((0.05, 200), (0.5, 200), (0.05, 3)):
+        bound = wald_ellipsoid_radius(model, alpha=alpha)
+        draws = sample_theta(model, alpha=alpha, B=B, seed=11)
+        assert isinstance(draws, np.ndarray) and draws.shape == (B, model.n_coefficients)
+        for draw in draws:
+            dev = draw - model.theta
+            assert dev @ info @ dev <= bound * (1.0 + 1e-8)
 
 
 def test_sample_theta_mean_near_point_estimate():
     model = _small_model()
-    draws = np.array(sample_theta(model, alpha=0.05, B=4000, seed=13))
+    draws = sample_theta(model, alpha=0.05, B=4000, seed=13)
     se = np.sqrt(np.diag(np.linalg.inv(model.fisher_information)))
     mc_se = se / np.sqrt(len(draws))
     assert np.all(np.abs(draws.mean(axis=0) - model.theta) < 3.5 * mc_se)
-
-
-def test_sample_theta_degenerate_region_returns_point():
-    model = _small_model()
-    draws = sample_theta(model, alpha=1.0 - 1e-9, B=5, seed=1)
-    assert len(draws) == 5
-    assert all(np.array_equal(d, model.theta) for d in draws)
 
 
 def test_sample_theta_rejects_non_positive_definite_information():
@@ -693,18 +691,11 @@ def test_sample_theta_rejects_non_positive_definite_information():
 
 
 def test_sample_theta_rejects_bad_alpha():
-    with pytest.raises(DomainError):
-        sample_theta(_small_model(), alpha=0.0, B=1, seed=1)
-
-
-def test_sample_theta_degenerate_region_skips_the_quantile(monkeypatch):
-    def ill_conditioned(model, alpha):
-        raise AssertionError("the quantile is not needed near alpha = 1")
-
-    model = _small_model()
-    monkeypatch.setattr(density_regression, "wald_ellipsoid_radius", ill_conditioned)
-    draws = sample_theta(model, alpha=1.0 - 1e-7, B=2, seed=1)
-    assert all(np.array_equal(d, model.theta) for d in draws)
+    # the region holds 1 - alpha of the mass: a band below 50 % is not a confidence
+    # band, and near alpha = 1 rejection needs B / (1 - alpha) proposals
+    for alpha in (0.0, 0.6, 1.0 - 1e-9):
+        with pytest.raises(DomainError, match=r"alpha must be in \(0, 0.5\]"):
+            sample_theta(_small_model(), alpha=alpha, B=1, seed=1)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5])
