@@ -33,7 +33,6 @@ from .density_regression import (
     sample_theta,
 )
 from .counterfactual import (
-    EffectBands,
     RatioFunction,
     counterfactual_density,
     covariate_effect,

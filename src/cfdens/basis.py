@@ -43,10 +43,10 @@ class PartialEffectSpec:
                     f"reference level '{self.reference_level}' not among levels"
                 )
         elif self.kind == "smooth":
-            if self.degree < 1:
-                raise ConfigError("smooth degree must be >= 1")
-            if self.knot_count < self.degree + 1:
-                raise ConfigError("smooth needs knot_count >= degree + 1")
+            if self.degree < 1 or self.knot_count < self.degree + 1:
+                need = "degree >= 1" if self.degree < 1 else "count >= degree + 1"
+                raise ConfigError(f"smooth '{self.covariate_name}' needs {need}, "
+                                  f"got count={self.knot_count}, degree={self.degree}")
         elif self.kind != "intercept":
             raise ConfigError(f"unknown effect kind '{self.kind}'")
 

@@ -43,18 +43,12 @@ def _fit_groups(config: RunConfig):
     return models, samples, grid
 
 
-def _write_density(path: Path, density) -> None:
-    """A density as draw 0 of a curve table, every cell valid."""
-    values = density.values[None]
-    write_curve_table(path, density.grid, values, np.ones(values.shape, dtype=bool))
-
-
 def _cmd_fit(config: RunConfig, out_dir: Path, seed: int) -> None:
-    models, samples, _ = _fit_groups(config)
+    models, samples, grid = _fit_groups(config)
     for label in ("treated", "control"):
         model = models[label]
         marginal = counterfactual_density(model, samples[label])
-        _write_density(out_dir / f"density_{label}.csv", marginal)
+        write_curve_table(out_dir / f"density_{label}.csv", grid, marginal.values[None])
         summary = [
             f"group = {label}",
             f"coefficients = {model.n_coefficients}",
@@ -84,10 +78,10 @@ def _cmd_effects(config: RunConfig, out_dir: Path, seed: int, command: str) -> N
                          (samples["treated"], samples["control"]),
                          effects, config.alpha, config.draws, seed, densities)
     for name, density in (densities or {}).items():
-        _write_density(out_dir / f"{name}.csv", density)
+        write_curve_table(out_dir / f"{name}.csv", density.grid, density.values[None])
     for (kind, j_name), band in bands.items():
         stem = kind if j_name is None else f"{kind[:-2]}_{j_name}"
-        write_curve_table(out_dir / f"{stem}.csv", grid, band.values, band.valid)
+        write_curve_table(out_dir / f"{stem}.csv", grid, band.values)
 
 
 def _cmd_simulate(config: RunConfig, out_dir: Path, seed: int) -> None:

@@ -59,10 +59,11 @@ class RunConfig:
     def __post_init__(self):
         if not 0 < self.alpha <= 0.5:
             raise ConfigError(f"uncertainty.alpha must be in (0, 0.5], got {self.alpha}")
-        if self.draws < 0:
-            raise ConfigError("draws must be >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"uncertainty.seed must be >= 0, got {self.seed}")
+        for key, value, least in (("uncertainty.draws", self.draws, 0),
+                                  ("uncertainty.seed", self.seed, 0),
+                                  ("simulate.replications", self.sim_replications, 1)):
+            if value < least:
+                raise ConfigError(f"{key} must be >= {least}, got {value}")
         if (self.cap is None) != (self.cap_atom is None):
             raise ConfigError("measure.cap and measure.cap_atom must be set together")
         if self.cap_atom is not None and self.cap_atom not in self.measure.atom_locations:
@@ -70,6 +71,8 @@ class RunConfig:
         if self.treated_label and self.treated_label == self.control_label:
             raise ConfigError("data.treated_label and data.control_label are both "
                               f"'{self.treated_label}'")
+        if not self.sim_estimators:
+            raise ConfigError("simulate.estimators lists no estimator")
         names = {e.covariate_name for e in self.effects if e.kind != "intercept"}
         # key, its list, the test each item passes, and the error of an item that fails
         for key, items, valid, error in (

@@ -3,7 +3,7 @@
 Counterfactual densities average a group's fitted conditional densities over
 another group's empirical covariate distribution.  Effects are pointwise
 ratios of counterfactual densities; cells whose denominator falls below a
-validity floor are masked invalid rather than clipped.
+validity floor are NaN (invalid) rather than clipped.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .density_regression import (
 from .errors import ConfigError, NumericError, StructuralError
 from .measure_grid import GridDensity, GridSpec
 
-#: denominator density values below this are masked invalid in ratios
+#: denominator density values below this make a ratio cell NaN (invalid)
 VALIDITY_FLOOR = 1e-12
 
 #: (x_{-j} row, x_j value) pairs that the product-measure average evaluates at once
@@ -45,43 +45,36 @@ EFFECTS = {
 
 @dataclass(frozen=True)
 class RatioFunction:
-    """Pointwise ratio of two densities with a validity mask."""
+    """Pointwise density ratio on ``grid``: G values, or D x G with row 0 the point
+    estimate and row d band draw d.  Each is NaN (invalid) or finite and positive."""
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
-    valid: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        valid = np.asarray(self.valid, dtype=bool)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "valid", valid)
-        if values.shape != (self.grid.n_cells,) or valid.shape != (self.grid.n_cells,):
-            raise StructuralError("ratio values/mask do not match grid")
-        if np.any(values[valid] <= 0):
-            raise StructuralError("ratio must be strictly positive on valid cells")
+        if values.ndim not in (1, 2) or values.shape[-1] != self.grid.n_cells:
+            raise StructuralError(f"ratio values of shape {values.shape} do not match the grid")
+        if not np.all(np.isnan(values) | (values > 0) & (values < np.inf)):
+            raise StructuralError("ratio values must be NaN or finite and positive")
 
-
-@dataclass(frozen=True)
-class EffectBands:
-    """One effect's (B + 1) x G ratios on ``grid``: row 0 at the point estimate,
-    row d at band draw d, and NaN where ``valid`` is False.
-    """
-
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
-    valid: np.ndarray = field(repr=False)
+    @property
+    def valid(self) -> np.ndarray:
+        return np.isfinite(self.values)
 
 
 def _ratio(numerator: GridDensity, denominator: GridDensity) -> RatioFunction:
+    """numerator / denominator, NaN where the denominator is below ``VALIDITY_FLOOR``
+    or the ratio is not positive.  The rest is finite: a unit-integral numerator
+    is at most 1 / (smallest cell width)."""
     if not numerator.grid.same_as(denominator.grid):
         raise StructuralError("ratio of densities on different grids")
-    valid = denominator.values >= VALIDITY_FLOOR
-    values = np.zeros(numerator.grid.n_cells)
-    values[valid] = numerator.values[valid] / denominator.values[valid]
-    valid = valid & (values > 0)
-    values[~valid] = np.nan
-    return RatioFunction(grid=numerator.grid, values=values, valid=valid)
+    kept = denominator.values >= VALIDITY_FLOOR
+    values = np.full(numerator.grid.n_cells, np.nan)
+    values[kept] = numerator.values[kept] / denominator.values[kept]
+    values[values <= 0] = np.nan
+    return RatioFunction(numerator.grid, values)
 
 
 def _rows(covariate_bases, sample: CovariateSample) -> tuple[np.ndarray, np.ndarray]:
@@ -271,7 +264,8 @@ def effect_bands(models: tuple[FittedDensityModel, FittedDensityModel],
 
     ``models`` and ``samples`` are (treated, control), and ``effects`` lists
     (kind, covariate name) pairs of ``EFFECTS``, such as ``("de", None)`` or
-    ``("ce_j", "edu")``; the result maps each pair to its ``EffectBands``.
+    ``("ce_j", "edu")``; the result maps each pair to a (B + 1) x G
+    ``RatioFunction`` whose row 0 is the point estimate and row d draw d.
     Each group's coefficients are drawn once from its Wald region (seeds
     ``seed*2+1`` treated, ``seed*2+2`` control).  Each average that the
     effects read is set up once and evaluated once at the point estimate and
@@ -286,6 +280,5 @@ def effect_bands(models: tuple[FittedDensityModel, FittedDensityModel],
     thetas = zip(sample_theta(models[1], alpha, B, seed=seed * 2 + 1),
                  sample_theta(models[0], alpha, B, seed=seed * 2 + 2))
     rows = [point] + [evaluate({1: theta_1, 0: theta_0}, read)[1] for theta_1, theta_0 in thetas]
-    return {effect: EffectBands(ratio.grid, np.stack([row[effect].values for row in rows]),
-                                np.stack([row[effect].valid for row in rows]))
+    return {effect: RatioFunction(ratio.grid, np.stack([row[effect].values for row in rows]))
             for effect, ratio in point.items()}

@@ -94,24 +94,25 @@ def load_dataset(path, config: RunConfig) -> tuple[ObservationTable, Observation
     return build(config.treated_label, treated), build(config.control_label, control)
 
 
-def format_curve_table(grid: GridSpec, values, valid) -> str:
+def format_curve_table(grid: GridSpec, values) -> str:
     """Long-format table: (grid_point, cell_type, value, valid_flag, draw_index).
 
-    ``values`` and ``valid`` are D x G arrays on ``grid``; row d is draw d.
+    ``values`` is a D x G array on ``grid``; row d is draw d, and a cell's
+    ``valid_flag`` is 1 exactly where its value is finite.
     """
     out = io.StringIO()
     out.write("grid_point,cell_type,value,valid_flag,draw_index\n")
     cells = [f"{FLOAT_FMT % c},{t}," for c, t in zip(grid.centers, grid.cell_types())]
-    for d, (row, flags) in enumerate(zip(values.tolist(), valid.tolist())):
-        for cell, v, ok in zip(cells, row, flags):
-            txt = FLOAT_FMT % v if math.isfinite(v) else "nan"
-            out.write(f"{cell}{txt},{int(ok)},{d}\n")
+    for d, row in enumerate(values.tolist()):
+        for cell, v in zip(cells, row):
+            txt, ok = (FLOAT_FMT % v, 1) if math.isfinite(v) else ("nan", 0)
+            out.write(f"{cell}{txt},{ok},{d}\n")
     return out.getvalue()
 
 
-def write_curve_table(path, grid: GridSpec, values, valid):
+def write_curve_table(path, grid: GridSpec, values):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_curve_table(grid, values, valid))
+        fh.write(format_curve_table(grid, values))
 
 
 def read_curve_table(path):

@@ -647,6 +647,8 @@ def sample_theta(
     """
     if not 0 < alpha <= 0.5:
         raise DomainError(f"alpha must be in (0, 0.5], got {alpha}")
+    if B < 0:
+        raise DomainError(f"B must be >= 0, got {B}")
     R = model.n_coefficients
     if B == 0:
         return np.zeros((0, R))

@@ -19,7 +19,7 @@ import numpy as np
 from .basis import PartialEffectSpec, build_outcome_basis, covariate_matrix
 from .counterfactual import AVERAGES
 from .density_regression import FittedDensityModel, ObservationTable, fit_group, predict_densities
-from .errors import ConfigError, DataError, DomainError
+from .errors import ConfigError, ConvergenceError, DataError, DomainError, NumericError
 from .measure_grid import GridDensity, GridSpec, ReferenceMeasure, tv_distance
 
 TREATED_CELL_PROBS = np.full(8, 0.125)
@@ -275,7 +275,7 @@ def _replication_scores(spec, n, seed, grid, estimators, truths_cf, truths_cond,
         try:
             cond = {g: _cell_densities(est, datas[g], grid, spline_count, degree)
                     for g in (1, 0)}
-        except (DataError, RuntimeError):
+        except (DataError, NumericError, ConvergenceError):
             scores[est] = None
             continue
         scores[est] = {}
@@ -332,12 +332,15 @@ def run_study(
     """Monte Carlo study over sample sizes; per-replication seeds are seed + index.
 
     Each replication simulates both groups once and scores every estimator on
-    that data.  Replications where an estimator fails (e.g. an empty covariate
-    cell for the KDE) are excluded for that estimator and counted in the
-    report.  ``spline_count`` and ``degree`` set the Bayes outcome basis.
+    that data.  A replication where an estimator raises ``DataError`` (e.g. an
+    empty covariate cell for the KDE), ``NumericError`` or ``ConvergenceError``
+    is excluded for that estimator and counted in the report; any other error
+    propagates.  ``spline_count`` and ``degree`` set the Bayes outcome basis.
     """
     if replications < 1:
         raise DomainError("replications must be >= 1")
+    if not estimators:
+        raise DomainError("estimators lists no estimator")
     measure = ReferenceMeasure(continuous_interval=(0.0, 1.0))
     grid = GridSpec.from_measure(measure, n_bins)
     truths_cf = {tgt: true_counterfactual(spec, *AVERAGES[tgt][:2], grid)

@@ -207,10 +207,18 @@ def test_parse_config_rejects_a_marginal_covariate_that_is_repeated_or_not_an_ef
      "^categorical 'edu' lists an empty level$"),
     ("measure.atoms = 0:1:7, 10000:1", "^measure.atoms: '0:1:7' is not location:weight$"),
     ("uncertainty.seed = -1", "^uncertainty.seed must be >= 0, got -1$"),
+    ("uncertainty.draws = -1", "^uncertainty.draws must be >= 0, got -1$"),
+    ("simulate.replications = 0", "^simulate.replications must be >= 1, got 0$"),
+    ("simulate.estimators = ", "^simulate.estimators lists no estimator$"),
+    ("effect.age = smooth(count=3, degree=3)",
+     r"^smooth 'age' needs count >= degree \+ 1, got count=3, degree=3$"),
+    ("effect.age = smooth(count=9, degree=0)",
+     "^smooth 'age' needs degree >= 1, got count=9, degree=0$"),
 ], ids=["estimator-twice", "estimator-twice-apart", "unknown-estimator", "n-twice", "n-zero",
         "n-negative", "effect-unknown-argument", "effect-unknown-categorical-argument",
         "effect-argument-twice", "level-twice", "level-empty", "atom-two-colons",
-        "seed-negative"])
+        "seed-negative", "draws-negative", "replications-zero", "no-estimator",
+        "smooth-count-too-small", "smooth-degree-zero"])
 def test_parse_config_rejects_a_repeated_or_invalid_simulate_item(line, message):
     key = line.split(" = ")[0]
     text = "\n".join(line if l.startswith(key + " =") else l for l in SMALL_CONFIG.splitlines())
@@ -382,16 +390,20 @@ def test_load_dataset_matches_a_dict_reader_reference(tmp_path):
             assert np.array_equal(values, copy.covariates[name])
 
 
+def _flags(path):
+    return [line.split(",")[3] for line in path.read_text().splitlines()[1:]]
+
+
 def test_curve_table_round_trip(tmp_path):
-    # row d of the arrays is draw d of the table
+    # row d of the array is draw d of the table, flagged valid exactly where finite
     grid = unit_grid(7)
     rng = np.random.default_rng(0)
     values = rng.uniform(0.1, 2.0, (3, 7))
     valid = np.ones((3, 7), dtype=bool)
     valid[0, 6] = valid[1, 2] = False
-    shown = np.where(valid, values, np.nan)
     path = tmp_path / "curve.csv"
-    write_curve_table(path, grid, shown, valid)
+    write_curve_table(path, grid, np.where(valid, values, np.nan))
+    assert _flags(path) == [str(int(ok)) for ok in valid.ravel()]
     points, draws = read_curve_table(path)
     assert sorted(draws) == [0, 1, 2]
     for d, (got_values, got_valid) in draws.items():
@@ -400,11 +412,14 @@ def test_curve_table_round_trip(tmp_path):
         assert np.array_equal(got_values[valid[d]], values[d, valid[d]])
         assert np.all(np.isnan(got_values[~valid[d]]))
     assert points == [float("%.17g" % c) for c in grid.centers]
+    # a density row, zero cells included, is valid on every cell
+    write_curve_table(path, grid, np.array([[0.0, 0.5, 1.0, 2.0, 2.5, 1.0, 0.0]]))
+    assert _flags(path) == ["1"] * 7
 
 
 def test_curve_table_header_and_cell_types(mixed_grid):
     values = np.ones(mixed_grid.n_cells)
-    text = format_curve_table(mixed_grid, values[None], values[None] > 0)
+    text = format_curve_table(mixed_grid, values[None])
     lines = text.splitlines()
     assert lines[0] == "grid_point,cell_type,value,valid_flag,draw_index"
     assert lines[1].split(",")[1] == "bin"

@@ -218,6 +218,27 @@ def test_ratio_masks_tiny_denominator():
     assert np.all(ratio.values[1:] > 0)
 
 
+@pytest.mark.parametrize("shape", [(4,), (3, 4)])
+def test_ratio_function_holds_g_or_d_by_g_values(shape):
+    values = np.full(shape, 2.0)
+    values[..., 1] = np.nan
+    ratio = RatioFunction(unit_grid(4), values)
+    assert ratio.values.shape == shape
+    assert np.array_equal(ratio.valid, np.isfinite(values))
+
+
+@pytest.mark.parametrize("values", [
+    np.array(1.0), np.ones((2, 3, 4)), np.ones(5), np.ones((3, 5)), np.ones((4, 3)),
+    np.array([1.0, 0.0, 1.0, 1.0]),
+    np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -2.0, np.nan, 1.0]]),
+    np.array([[1.0, np.nan, 1.0, 1.0], [1.0, 1.0, np.inf, 1.0]]),
+    np.array([[1.0, 1.0, 1.0, 1.0], [-np.inf, 1.0, 1.0, 1.0]]),
+])
+def test_ratio_function_rejects_a_bad_shape_or_value(values):
+    with pytest.raises(StructuralError):
+        RatioFunction(unit_grid(4), values)
+
+
 def test_total_effect_swaps_to_reciprocal():
     grid = unit_grid(20)
     f1, f0 = beta_on_grid(grid, 2, 3), beta_on_grid(grid, 3, 2)
@@ -335,6 +356,7 @@ def _band_inputs():
 def test_effect_bands_counts_and_grids():
     models, samples, grid = _band_inputs()
     bands = effect_bands(models, samples, [("de", None)], alpha=0.05, B=4, seed=4)[("de", None)]
+    assert isinstance(bands, RatioFunction)
     assert bands.values.shape == bands.valid.shape == (5, grid.n_cells)
     assert bands.grid.same_as(grid)
     # row 0 is the point DE = f11 / f01: both models over the treated covariates

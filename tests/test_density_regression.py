@@ -696,6 +696,8 @@ def test_sample_theta_rejects_bad_alpha():
     for alpha in (0.0, 0.6, 1.0 - 1e-9):
         with pytest.raises(DomainError, match=r"alpha must be in \(0, 0.5\]"):
             sample_theta(_small_model(), alpha=alpha, B=1, seed=1)
+    with pytest.raises(DomainError, match=r"^B must be >= 0, got -1$"):
+        sample_theta(_small_model(), alpha=0.05, B=-1, seed=1)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5])

@@ -488,8 +488,21 @@ def test_a_bayes_replication_predicts_each_group_once(monkeypatch, tmp_path):
 
 
 def test_run_study_rejects_zero_replications():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^replications must be >= 1$"):
         run_study(DgpSpec(), n_values=[100], replications=0)
+    with pytest.raises(DomainError, match="^estimators lists no estimator$"):
+        run_study(DgpSpec(), n_values=[100], replications=1, estimators=())
+
+
+def test_run_study_raises_an_estimator_bug_instead_of_excluding_it(monkeypatch):
+    # only DataError, NumericError and ConvergenceError exclude a replication;
+    # one task runs in this process
+    def broken_kde(*args, **kwargs):
+        raise NotImplementedError("broken estimator")
+
+    monkeypatch.setattr(sim_benchmark, "kde_density", broken_kde)
+    with pytest.raises(NotImplementedError, match="broken estimator"):
+        run_study(DgpSpec(), n_values=[60], replications=1, estimators=("kde",), seed=1)
 
 
 def test_report_table_round_trips_floats():
