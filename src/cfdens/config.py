@@ -64,6 +64,14 @@ class RunConfig:
                                   ("simulate.replications", self.sim_replications, 1)):
             if value < least:
                 raise ConfigError(f"{key} must be >= {least}, got {value}")
+        # the bins and the outcome splines cover the interval; atoms use neither key
+        if self.measure is not None and self.measure.continuous_interval is not None:
+            if self.n_bins < 1:
+                raise ConfigError(f"grid.bins must be >= 1, got {self.n_bins}")
+            # the second-order difference penalty of the splines needs three of them
+            if self.basis_count < 3 or self.basis_count <= self.basis_degree:
+                raise ConfigError("basis.count must be >= 3 and > basis.degree, "
+                                  f"got count={self.basis_count}, degree={self.basis_degree}")
         if (self.cap is None) != (self.cap_atom is None):
             raise ConfigError("measure.cap and measure.cap_atom must be set together")
         if self.cap_atom is not None and self.cap_atom not in self.measure.atom_locations:
@@ -141,6 +149,8 @@ def _parse_kv(text: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in FIELDS and key not in OTHER_KEYS and not key.startswith("effect."):
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        if key == "effect.":
+            raise ConfigError(f"line {lineno}: effect key needs a covariate name")
         if key in out:
             raise ConfigError(f"line {lineno}: key '{key}' already set on line {first_line[key]}")
         out[key], first_line[key] = value, lineno

@@ -8,8 +8,6 @@ validity floor are NaN (invalid) rather than clipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .basis import covariate_matrix
@@ -20,7 +18,7 @@ from .density_regression import (
     sample_theta,
 )
 from .errors import ConfigError, NumericError, StructuralError
-from .measure_grid import GridDensity, GridSpec
+from .measure_grid import GridDensity, GridSpec, GridValues
 
 #: denominator density values below this make a ratio cell NaN (invalid)
 VALIDITY_FLOOR = 1e-12
@@ -43,20 +41,14 @@ EFFECTS = {
 }
 
 
-@dataclass(frozen=True)
-class RatioFunction:
+class RatioFunction(GridValues):
     """Pointwise density ratio on ``grid``: G values, or D x G with row 0 the point
     estimate and row d band draw d.  Each is NaN (invalid) or finite and positive."""
 
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
+    ndims = (1, 2)
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.ndim not in (1, 2) or values.shape[-1] != self.grid.n_cells:
-            raise StructuralError(f"ratio values of shape {values.shape} do not match the grid")
-        if not np.all(np.isnan(values) | (values > 0) & (values < np.inf)):
+    def _check(self):
+        if not np.all(np.isnan(self.values) | (self.values > 0) & (self.values < np.inf)):
             raise StructuralError("ratio values must be NaN or finite and positive")
 
     @property

@@ -176,20 +176,33 @@ def integrate(values: np.ndarray, grid: GridSpec) -> float:
 
 
 @dataclass(frozen=True)
-class GridDensity:
-    """Nonnegative density w.r.t. the reference measure; unit integral."""
+class GridValues:
+    """Values on ``grid``, one per cell along the last of ``ndims`` allowed axes;
+    a subclass checks its own invariant in ``_check``."""
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
 
+    ndims = (1,)
+
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape != (self.grid.n_cells,):
-            raise StructuralError("density values do not match grid cell count")
-        if np.any(values < 0):
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.values.ndim not in self.ndims or self.values.shape[-1] != self.grid.n_cells:
+            raise StructuralError(f"{type(self).__name__} values of shape {self.values.shape} "
+                                  f"do not match the {self.grid.n_cells} grid cells")
+        self._check()
+
+    def _check(self):
+        """Raise unless ``values`` holds the invariant of the class."""
+
+
+class GridDensity(GridValues):
+    """Nonnegative density w.r.t. the reference measure; unit integral."""
+
+    def _check(self):
+        if np.any(self.values < 0):
             raise DomainError("density values must be nonnegative")
-        total = integrate(values, self.grid)
+        total = integrate(self.values, self.grid)
         if abs(total - 1.0) > INTEGRAL_TOL:
             raise DomainError(f"density integrates to {total}, not 1")
 
@@ -202,19 +215,11 @@ class GridDensity:
         return cls(grid, values / total)
 
 
-@dataclass(frozen=True)
-class ClrFunction:
+class ClrFunction(GridValues):
     """Element of the zero-integral L2 space: clr image of a density."""
 
-    grid: GridSpec
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape != (self.grid.n_cells,):
-            raise StructuralError("clr values do not match grid cell count")
-        total = integrate(values, self.grid)
+    def _check(self):
+        total = integrate(self.values, self.grid)
         if abs(total) > INTEGRAL_TOL:
             raise DomainError(f"clr function has integral {total}, not 0")
 

@@ -78,9 +78,11 @@ class DgpSpec:
         return "; ".join(parts)
 
 
-def cell_covariates(cell: int) -> dict[str, str]:
-    """Binary covariates for a cell index, last covariate fastest."""
-    return {name: str((cell >> (2 - k) & 1) + 1) for k, name in enumerate(COVARIATE_NAMES)}
+def cell_covariates(cells) -> dict[str, np.ndarray]:
+    """Binary covariates "1" or "2" of a cell index or an array of them, last fastest."""
+    cells = np.asarray(cells)
+    levels = np.array(["1", "2"])
+    return {name: levels[cells >> (2 - k) & 1] for k, name in enumerate(COVARIATE_NAMES)}
 
 
 def simulate(spec: DgpSpec, group: int, n: int, seed: int) -> ObservationTable:
@@ -92,10 +94,8 @@ def simulate(spec: DgpSpec, group: int, n: int, seed: int) -> ObservationTable:
     cells = rng.choice(8, size=n, p=probs)
     a, b = spec.shape_params(group)
     outcomes = rng.beta(a[cells], b[cells])
-    levels = np.array(["1", "2"])  # as in cell_covariates
-    covs = {name: levels[cells >> (2 - k) & 1] for k, name in enumerate(COVARIATE_NAMES)}
     return ObservationTable(
-        outcomes=outcomes, covariates=covs, weights=np.ones(n),
+        outcomes=outcomes, covariates=cell_covariates(cells), weights=np.ones(n),
         group="treated" if group == 1 else "control",
     )
 
@@ -241,7 +241,7 @@ def _cell_densities(est, data, grid, spline_count, degree) -> np.ndarray:
     """One group's eight cell conditionals under estimator ``est`` (8 x n_cells, cell order)."""
     if est == "bayes":
         model = fit_bayes_group(data, grid, spline_count, degree)
-        cells = {n: np.array([cell_covariates(c)[n] for c in range(8)]) for n in COVARIATE_NAMES}
+        cells = cell_covariates(np.arange(8))
         return predict_densities(model, covariate_matrix(list(model.covariate_bases), cells, 8))
     if est == "kde":
         # kde_conditional's keys come in cell order when no cell is empty

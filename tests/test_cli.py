@@ -10,7 +10,7 @@ import pytest
 
 from cfdens import counterfactual
 from cfdens.cli import _fit_groups, main
-from cfdens.config import FIELDS, OTHER_KEYS, load_config, parse_config
+from cfdens.config import FIELDS, OTHER_KEYS, RunConfig, load_config, parse_config
 from cfdens.dataio import (
     format_curve_table,
     load_dataset,
@@ -100,6 +100,11 @@ def test_parse_config_rejects_bad_lines():
     with pytest.raises(ConfigError, match=r"^uncertainty.alpha must be in \(0, 0.5\], got 0.6$"):
         parse_config("measure.interval = 0, 1\nuncertainty.alpha = 0.6")
     assert parse_config("measure.interval = 0, 1\nuncertainty.alpha = 0.5").alpha == 0.5
+    with pytest.raises(ConfigError, match="^line 2: effect key needs a covariate name$"):
+        parse_config("measure.interval = 0, 1\neffect. = categorical(levels=a|b, reference=a)")
+    # bins and splines cover an interval; atoms alone, or no measure, need neither
+    assert parse_config("measure.atoms = 0:1, 1:1\ngrid.bins = 0\nbasis.count = 1").n_bins == 0
+    assert RunConfig(n_bins=0, basis_count=1).measure is None
 
 
 def test_parse_config_rejects_an_unknown_key():
@@ -214,14 +219,23 @@ def test_parse_config_rejects_a_marginal_covariate_that_is_repeated_or_not_an_ef
      r"^smooth 'age' needs count >= degree \+ 1, got count=3, degree=3$"),
     ("effect.age = smooth(count=9, degree=0)",
      "^smooth 'age' needs degree >= 1, got count=9, degree=0$"),
+    ("grid.bins = 0", "^grid.bins must be >= 1, got 0$"),
+    ("grid.bins = -2", "^grid.bins must be >= 1, got -2$"),
+    ("basis.count = 3", r"^basis.count must be >= 3 and > basis.degree, got count=3, degree=3$"),
+    ("basis.count = 2\nbasis.degree = 1",
+     r"^basis.count must be >= 3 and > basis.degree, got count=2, degree=1$"),
+    ("basis.count = 1\nbasis.degree = 0",
+     r"^basis.count must be >= 3 and > basis.degree, got count=1, degree=0$"),
 ], ids=["estimator-twice", "estimator-twice-apart", "unknown-estimator", "n-twice", "n-zero",
         "n-negative", "effect-unknown-argument", "effect-unknown-categorical-argument",
         "effect-argument-twice", "level-twice", "level-empty", "atom-two-colons",
         "seed-negative", "draws-negative", "replications-zero", "no-estimator",
-        "smooth-count-too-small", "smooth-degree-zero"])
+        "smooth-count-too-small", "smooth-degree-zero", "bins-zero", "bins-negative",
+        "basis-count-not-above-degree", "basis-count-two", "basis-count-one"])
 def test_parse_config_rejects_a_repeated_or_invalid_simulate_item(line, message):
-    key = line.split(" = ")[0]
-    text = "\n".join(line if l.startswith(key + " =") else l for l in SMALL_CONFIG.splitlines())
+    # each line of the row stands in for the line that sets its key
+    new = {l.split(" = ")[0]: l for l in line.split("\n")}
+    text = "\n".join(new.get(l.split(" = ")[0], l) for l in SMALL_CONFIG.splitlines())
     with pytest.raises(ConfigError, match=message):
         parse_config(text)
 
@@ -630,7 +644,8 @@ def test_cli_negative_seed_fails_before_any_output(config_file, tmp_path, capsys
     ("measure.atoms = 0:nan, 10000:1", "atom weight at 0.0 must be finite and positive, got nan"),
     ("measure.atoms = nan:1, 10000:1", "atom location must be finite, got nan"),
     ("measure.interval = 10, inf", "interval bounds must be finite with a < b, got (10.0, inf)"),
-], ids=["degree-negative", "atom-weight-nan", "atom-location-nan", "interval-inf"])
+    ("grid.bins = 0", "grid.bins must be >= 1, got 0"),
+], ids=["degree-negative", "atom-weight-nan", "atom-location-nan", "interval-inf", "bins-zero"])
 def test_cli_negative_degree_or_non_finite_measure_fails_before_fitting(tmp_path, capsys,
                                                                           line, message):
     key = line.split(" = ")[0]

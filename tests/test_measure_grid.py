@@ -1,8 +1,13 @@
+import dataclasses
+import pickle
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfdens.counterfactual import RatioFunction
 from cfdens.errors import DomainError, StructuralError
 from cfdens.measure_grid import (
     ClrFunction,
@@ -143,6 +148,39 @@ def test_density_rejects_negative(grid50):
 def test_density_rejects_non_unit_integral(grid50):
     with pytest.raises(DomainError):
         GridDensity(grid50, np.full(50, 1.5))
+
+
+#: a value that meets each record's invariant in every cell of ``unit_grid``
+RECORDS = {GridDensity: 1.0, ClrFunction: 0.0, RatioFunction: 2.0}
+
+
+@pytest.mark.parametrize("cls, shape", [
+    *((cls, shape) for cls in RECORDS for shape in [(2, 3, 4), (5,), (3, 5), (4, 3)]),
+    (GridDensity, (3, 4)), (ClrFunction, (3, 4)),
+], ids=lambda v: getattr(v, "__name__", None) or "x".join(map(str, v)))
+def test_grid_values_reject_a_shape_that_does_not_fit_the_class(cls, shape):
+    # only a ratio holds D x G values (its band draws); each message names the class
+    message = (f"^{cls.__name__} values of shape {re.escape(str(shape))} "
+               "do not match the 4 grid cells$")
+    with pytest.raises(StructuralError, match=message):
+        cls(unit_grid(4), np.full(shape, RECORDS[cls]))
+
+
+@pytest.mark.parametrize("cls", list(RECORDS))
+def test_grid_values_are_one_record_of_grid_and_values(cls):
+    grid, values = unit_grid(4), np.full(4, RECORDS[cls])
+    record = cls(grid, values)
+    assert [f.name for f in dataclasses.fields(cls)] == ["grid", "values"]
+    assert record == cls(grid, values)
+    assert all(record != c(grid, np.full(4, v)) for c, v in RECORDS.items() if c is not cls)
+    assert repr(record) == f"{cls.__name__}(grid={grid!r})"
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is cls and np.array_equal(copy.values, values)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.values = values
+    # replace builds the record again, so the checks run
+    with pytest.raises(StructuralError, match=f"^{cls.__name__} values of shape"):
+        dataclasses.replace(record, values=np.full(5, RECORDS[cls]))
 
 
 def test_from_unnormalized(grid50):
